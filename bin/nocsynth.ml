@@ -88,14 +88,6 @@ let domains_arg =
               Clamped to the machine's recommended domain count \
               (override: \\$NOCSYNTH_MAX_DOMAINS).")
 
-let portfolio_flag =
-  Arg.(
-    value & flag
-    & info [ "portfolio" ]
-        ~doc:"Race one search instance per branch ordering (canonical, coverage-first, \
-              ratio-first), splitting the domains across them; the returned \
-              decomposition is the best incumbent across instances.")
-
 let fallback_flag =
   Arg.(
     value & flag
@@ -139,20 +131,46 @@ let resolve_tech name =
   | Some t -> t
   | None -> failwith (Printf.sprintf "unknown technology %S" name)
 
-let make_options ?(portfolio = false) ?(fallback = false) ~cost ~tech ~acg ~beam () =
-  let cost_fn =
-    match cost with
-    | `Edge -> Noc_core.Cost.Edge_count
-    | `Energy -> Noc_core.Cost.Energy { tech = resolve_tech tech; fp = grid_floorplan acg }
+let budget_term =
+  let make timeout node_budget domains =
+    Bb.Budget.(
+      default |> with_timeout_s timeout |> with_max_nodes node_budget |> with_domains domains)
   in
-  {
-    Bb.default_options with
-    cost = cost_fn;
-    max_matches_per_step = beam;
-    role_aware = (match cost with `Energy -> true | `Edge -> false);
-    portfolio;
-    fallback;
-  }
+  Term.(const make $ timeout_arg $ node_budget_arg $ domains_arg)
+
+(* what decompose and synth both search with: the ACG file, the library,
+   the search options and the budget *)
+type search = {
+  acg : Acg.t;
+  library : L.t;
+  tech : string;
+  options : Bb.options;
+  budget : Bb.Budget.t;
+}
+
+let search_term =
+  let make file lib cost tech beam fallback budget =
+    let acg = load_acg file in
+    let library = resolve_library lib in
+    let cost_fn =
+      match cost with
+      | `Edge -> Noc_core.Cost.Edge_count
+      | `Energy -> Noc_core.Cost.Energy { tech = resolve_tech tech; fp = grid_floorplan acg }
+    in
+    let options =
+      {
+        Bb.default_options with
+        cost = cost_fn;
+        max_matches_per_step = beam;
+        role_aware = (match cost with `Energy -> true | `Edge -> false);
+        fallback;
+      }
+    in
+    { acg; library; tech; options; budget }
+  in
+  Term.(
+    const make $ acg_file_arg $ library_arg $ cost_arg $ tech_arg $ beam_arg
+    $ fallback_flag $ budget_term)
 
 (* budget-exhaustion diagnostics shared by decompose and synth *)
 let warn_anytime (st : Bb.stats) =
@@ -165,14 +183,7 @@ let warn_anytime (st : Bb.stats) =
     | None -> Logs.warn (fun k -> k "search budget exhausted; best incumbent shown"));
     if st.Bb.fallback_used then
       Logs.info (fun k -> k "greedy anytime fallback supplied the result")
-  end;
-  match st.Bb.winner with
-  | Some w -> Logs.info (fun k -> k "portfolio winner: %s ordering" w)
-  | None -> ()
-
-let make_budget ~timeout ~node_budget ~domains =
-  Bb.Budget.(
-    default |> with_timeout_s timeout |> with_max_nodes node_budget |> with_domains domains)
+  end
 
 let make_observer ~trace ~metrics =
   if trace <> None || metrics then Obs.create () else Obs.disabled
@@ -242,12 +253,7 @@ let decompose_cmd =
   let stats_flag =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print search statistics.")
   in
-  let run file lib cost tech beam timeout node_budget domains portfolio fallback stats
-      trace metrics =
-    let acg = load_acg file in
-    let library = resolve_library lib in
-    let options = make_options ~portfolio ~fallback ~cost ~tech ~acg ~beam () in
-    let budget = make_budget ~timeout ~node_budget ~domains in
+  let run { acg; library; options; budget; _ } stats trace metrics =
     let observe = make_observer ~trace ~metrics in
     let d, st = Bb.decompose ~options ~budget ~observe ~library acg in
     let listing = Format.asprintf "%a" (Decomp.pp_with_cost options.Bb.cost acg) d in
@@ -274,10 +280,7 @@ let decompose_cmd =
   in
   Cmd.v
     (Cmd.info "decompose" ~doc:"Decompose an ACG into communication primitives.")
-    Term.(
-      const run $ acg_file_arg $ library_arg $ cost_arg $ tech_arg $ beam_arg $ timeout_arg
-      $ node_budget_arg $ domains_arg $ portfolio_flag $ fallback_flag $ stats_flag
-      $ trace_arg $ metrics_flag)
+    Term.(const run $ search_term $ stats_flag $ trace_arg $ metrics_flag)
 
 (* ------------------------------------------------------------------ *)
 (* synth                                                                *)
@@ -293,12 +296,7 @@ let synth_cmd =
       value & flag
       & info [ "check" ] ~doc:"Check the technology's bandwidth and bisection constraints.")
   in
-  let run file lib cost tech beam timeout node_budget domains portfolio fallback dot check
-      trace metrics =
-    let acg = load_acg file in
-    let library = resolve_library lib in
-    let options = make_options ~portfolio ~fallback ~cost ~tech ~acg ~beam () in
-    let budget = make_budget ~timeout ~node_budget ~domains in
+  let run { acg; library; tech; options; budget } dot check trace metrics =
     let observe = make_observer ~trace ~metrics in
     let d, stats = Bb.decompose ~options ~budget ~observe ~library acg in
     warn_anytime stats;
@@ -326,10 +324,7 @@ let synth_cmd =
   in
   Cmd.v
     (Cmd.info "synth" ~doc:"Synthesize the customized architecture for an ACG.")
-    Term.(
-      const run $ acg_file_arg $ library_arg $ cost_arg $ tech_arg $ beam_arg $ timeout_arg
-      $ node_budget_arg $ domains_arg $ portfolio_flag $ fallback_flag $ dot_out
-      $ check_flag $ trace_arg $ metrics_flag)
+    Term.(const run $ search_term $ dot_out $ check_flag $ trace_arg $ metrics_flag)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                             *)
@@ -1253,9 +1248,8 @@ let serve_cmd =
              never an error) and write a checksummed snapshot back on clean exit.")
   in
   let run replay corpus cache_capacity assert_hit chaos max_inflight max_cores snapshot
-      seed timeout node_budget domains lib trace metrics =
+      seed budget lib trace metrics =
     let observe = make_observer ~trace ~metrics in
-    let budget = make_budget ~timeout ~node_budget ~domains in
     let library = library_name lib in
     (match (chaos, replay) with
     | Some requests, _ ->
@@ -1361,8 +1355,8 @@ let serve_cmd =
           rates.  With --chaos, run the seeded adversarial gate.")
     Term.(
       const run $ replay_arg $ corpus_arg $ cache_arg $ assert_hit_arg $ chaos_arg
-      $ max_inflight_arg $ max_cores_arg $ snapshot_arg $ seed_arg $ timeout_arg
-      $ node_budget_arg $ domains_arg $ library_arg $ trace_arg $ metrics_flag)
+      $ max_inflight_arg $ max_cores_arg $ snapshot_arg $ seed_arg $ budget_term
+      $ library_arg $ trace_arg $ metrics_flag)
 
 let main =
   Cmd.group

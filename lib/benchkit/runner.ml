@@ -16,7 +16,6 @@ type settings = {
   seed : int;
   simulate : bool;
   fallback : bool;
-  portfolio : bool;
   serve : bool;
   explore_points : int;
 }
@@ -34,7 +33,6 @@ let full =
     seed = 42;
     simulate = true;
     fallback = false;
-    portfolio = false;
     serve = true;
     explore_points = 24;
   }
@@ -163,13 +161,7 @@ let grid_floorplan acg =
 let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : settings)
     (s : Corpus.scenario) =
   let acg = s.acg in
-  let options =
-    {
-      Bb.default_options with
-      fallback = settings.fallback;
-      portfolio = settings.portfolio;
-    }
-  in
+  let options = { Bb.default_options with fallback = settings.fallback } in
   let budget_for domains = Bb.Budget.with_domains domains settings.budget in
   (* decompose once per requested domain count; for completed searches the
      reduction is deterministic, so every sample returns the same

@@ -26,7 +26,6 @@ type settings = {
           tiers turn this off — cycle-accurate simulation of a 1024-core
           run would swamp the search-scaling signal *)
   fallback : bool;  (** seed the search with the greedy anytime fallback *)
-  portfolio : bool;  (** race the branch-ordering portfolio *)
   serve : bool;
       (** run the service-layer stage: a 4-request mix (fresh, duplicate,
           two isomorphic permutations) through a fresh [nocsynthd] daemon,

@@ -66,12 +66,15 @@ let parse s =
             in
             let vol' =
               match int_of_string_opt vol with
-              | Some x -> x
+              | Some x when x >= 0 -> x
+              | Some _ -> err lineno volcol "negative volume '%s'" vol
               | None -> err lineno volcol "bad volume '%s'" vol
             in
             let bw' =
               match float_of_string_opt bw with
-              | Some x -> x
+              | Some x when Float.is_finite x && x >= 0.0 -> x
+              | Some _ ->
+                  err lineno bwcol "bandwidth '%s' is not finite and non-negative" bw
               | None -> err lineno bwcol "bad bandwidth '%s'" bw
             in
             if u' = v' then err lineno ucol "self-loop %d -> %d is not a flow" u' v';

@@ -11,41 +11,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type neutral_strategy = Branch | Greedy
 
-type ordering = Canonical | Coverage_first | Ratio_first
-
-let all_orderings = [ Canonical; Coverage_first; Ratio_first ]
-
-let ordering_name = function
-  | Canonical -> "canonical"
-  | Coverage_first -> "coverage-first"
-  | Ratio_first -> "ratio-first"
-
-let ordering_of_string = function
-  | "canonical" -> Some Canonical
-  | "coverage-first" -> Some Coverage_first
-  | "ratio-first" -> Some Ratio_first
-  | _ -> None
-
-(* Reorder the branchable entries for one search instance.  Only the
-   iteration order at each node changes: the [min_id] multiset dedup below
-   filters on entry ids, which is order-independent, so every ordering
-   searches exactly the same space. *)
-let order_entries ordering entries =
-  match ordering with
-  | Canonical -> entries
-  | Coverage_first ->
-      List.stable_sort
-        (fun a b ->
-          Int.compare (P.repr_edge_count b.L.prim) (P.repr_edge_count a.L.prim))
-        entries
-  | Ratio_first ->
-      let ratio e =
-        let covered = float_of_int (P.repr_edge_count e.L.prim) in
-        if covered <= 0. then infinity
-        else float_of_int (P.impl_link_count e.L.prim) /. covered
-      in
-      List.stable_sort (fun a b -> Float.compare (ratio a) (ratio b)) entries
-
 module Budget = struct
   type t = { timeout_s : float option; max_nodes : int; domains : int }
 
@@ -78,13 +43,9 @@ type options = {
   cost : Cost.t;
   constraints : Constraints.t option;
   max_matches_per_step : int;
-  allow_early_remainder : bool;
   role_aware : bool;
-  canonical_order : bool;
   neutrals : neutral_strategy;
   approx_missing : int;
-  ordering : ordering;
-  portfolio : bool;
   fallback : bool;
 }
 
@@ -93,13 +54,9 @@ let default_options =
     cost = Cost.Edge_count;
     constraints = None;
     max_matches_per_step = 1;
-    allow_early_remainder = true;
     role_aware = false;
-    canonical_order = true;
     neutrals = Greedy;
     approx_missing = 0;
-    ordering = Canonical;
-    portfolio = false;
     fallback = false;
   }
 
@@ -156,7 +113,6 @@ type stats = {
   constraints_met : bool;
   fallback_used : bool;
   gap_pct : float option;
-  winner : string option;
   per_primitive : (string * prim_stats) list;
   vf2 : vf2_stats;
 }
@@ -179,10 +135,6 @@ let stats_to_json st =
       ( "gap_pct",
         match st.gap_pct with
         | Some g -> Obs.Json.Float g
-        | None -> Obs.Json.Null );
-      ( "winner",
-        match st.winner with
-        | Some w -> Obs.Json.Str w
         | None -> Obs.Json.Null );
       ( "vf2",
         Obs.Json.Obj
@@ -266,7 +218,6 @@ type wctx = {
   mutable best_decomp : Decomposition.t option;
   mutable best_path : int list;  (** reversed leaf path of the incumbent *)
   mutable spawn : (task -> unit) option;  (** work-stealing push, when parallel *)
-  mutable spawn_depth : int;  (** branches above this depth become tasks *)
   mutable matches_tried : int;
   mutable leaves : int;
   mutable pruned : int;
@@ -284,7 +235,6 @@ let mk_ctx env rng =
     best_decomp = None;
     best_path = [];
     spawn = None;
-    spawn_depth = 0;
     matches_tried = 0;
     leaves = 0;
     pruned = 0;
@@ -514,10 +464,15 @@ let eval_leaf ctx remaining matchings_rev cost_so_far ~path_rev =
   let total = cost_so_far +. extra_cost +. Cost.remainder_cost_view env.opts.cost env.acg rest in
   if total < ctx.best then accept ctx (extra_rev @ matchings_rev) rest total ~path_rev
 
-(* [min_id]: when canonical ordering is on, only primitives with id >=
-   min_id may be matched below this node.  Decompositions are multisets
-   of matchings, so exploring them in non-decreasing library order visits
-   each multiset once instead of once per permutation.
+(* Branches above this depth become stealable tasks in the work-stealing
+   driver; below it a worker recurses inline.  Depth-only (deterministic) by
+   design — see the scheduler notes below. *)
+let spawn_depth = 3
+
+(* [min_id]: only primitives with id >= min_id may be matched below this
+   node.  Decompositions are multisets of matchings, so exploring them in
+   non-decreasing library order visits each multiset once instead of once
+   per permutation.
 
    A branch is explored when its bound beats both the task-local best
    (strictly — preserving the seed engine's first-of-equal-cost tie-break)
@@ -544,12 +499,11 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
         (Noc_graph.Multi_pattern.survivors_view ~slack:opts.approx_missing
            env.compiled remaining)
     in
-    let matched_any = ref false in
     let child_i = ref 0 in
     List.iter
       (fun entry ->
         if
-          ((not opts.canonical_order) || entry.L.id >= min_id)
+          entry.L.id >= min_id
           && Hashtbl.mem alive entry.L.id
           && not (budget_exhausted ctx)
         then begin
@@ -558,7 +512,6 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
           ctx.hits.(entry.L.id) <- ctx.hits.(entry.L.id) + List.length cands;
           List.iter
             (fun (matching, c) ->
-              matched_any := true;
               ctx.matches_tried <- ctx.matches_tried + 1;
               let i = !child_i in
               incr child_i;
@@ -571,7 +524,7 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
                 let bound = new_cost +. lb_c' in
                 if bound < ctx.best && bound <= Atomic.get env.shared_best then begin
                   match ctx.spawn with
-                  | Some push when depth < ctx.spawn_depth ->
+                  | Some push when depth < spawn_depth ->
                       push
                         {
                           t_view = view';
@@ -593,12 +546,13 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
             cands
         end)
       env.branchable;
-    (* leaf: either nothing matched (the paper's rule) or early stop is
-       allowed; neutral primitives are re-attached greedily so loops,
-       paths and broadcasts still show up in the listing *)
-    if (not !matched_any) || opts.allow_early_remainder then
-      eval_leaf ctx remaining matchings_rev cost_so_far
-        ~path_rev:(!child_i :: path_rev)
+    (* every node is also a leaf: stopping early (leaving a matchable graph
+       as remainder) generalizes the paper's leaves-only rule, so it is
+       never worse and lets the search reject energy-losing matchings;
+       neutral primitives are re-attached greedily so loops, paths and
+       broadcasts still show up in the listing *)
+    eval_leaf ctx remaining matchings_rev cost_so_far
+      ~path_rev:(!child_i :: path_rev)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -623,16 +577,12 @@ let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
 
 module Deque = Ws.Deque
 
-(* Branches above this depth become stealable tasks; below it a worker
-   recurses inline.  Depth-only (deterministic) by design — see above. *)
-let spawn_depth_for _domains = 3
-
 (* One independent constraint-checker rng per task, derived from the task's
    path: the stream a task sees does not depend on which worker runs it. *)
 let task_rng env path_rev =
   Noc_util.Prng.create ~seed:(env.task_seed lxor Hashtbl.hash path_rev)
 
-let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
+let run_work_stealing env root_view ~domains ~rem0 ~lb0 =
   let n_dom = domains in
   let deques = Array.init n_dom (fun _ -> Deque.create ()) in
   let pending = Atomic.make 0 in
@@ -657,7 +607,6 @@ let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
     let t_begin = Timer.now_mono_s () in
     let busy = ref 0.0 in
     let ctx = mk_ctx env (task_rng env [ slot ]) in
-    ctx.spawn_depth <- spawn_depth_for n_dom;
     ctxs.(slot) <- Some ctx;
     let my = deques.(slot) in
     ctx.spawn <-
@@ -711,7 +660,7 @@ let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
           (match ctx.best_decomp with
           | Some d ->
               results.(slot) <-
-                (ctx.best, rank, List.rev ctx.best_path, d) :: results.(slot)
+                (ctx.best, false, List.rev ctx.best_path, d) :: results.(slot)
           | None -> ());
           busy := !busy +. (Timer.now_mono_s () -. t0);
           ignore (Atomic.fetch_and_add pending (-1))
@@ -744,10 +693,9 @@ let run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0 =
   let all_ctxs = Array.to_list ctxs |> List.filter_map Fun.id in
   (all_results, all_ctxs)
 
-(* One search instance: sequential when it has a single domain (the exact
-   seed engine — one incumbent cell, no task machinery), work-stealing
-   otherwise. *)
-let run_search env root_view base_rng ~domains ~rank =
+(* The search: sequential with a single domain (the exact seed engine — one
+   incumbent cell, no task machinery), work-stealing otherwise. *)
+let run_search env root_view base_rng ~domains =
   let rem0 = Cost.remainder_cost_view env.opts.cost env.acg root_view in
   let lb0 =
     Cost.lower_bound_view env.opts.cost env.acg ~min_link_ratio:env.min_ratio
@@ -759,41 +707,12 @@ let run_search env root_view base_rng ~domains ~rank =
     explore ctx root_view [] 0.0 0 ~rem_c:rem0 ~lb_c:lb0 ~path_rev:[] ~depth:0;
     let res =
       match ctx.best_decomp with
-      | Some d -> [ (ctx.best, rank, List.rev ctx.best_path, d) ]
+      | Some d -> [ (ctx.best, false, List.rev ctx.best_path, d) ]
       | None -> []
     in
     (res, [ ctx ])
   end
-  else run_work_stealing env root_view ~domains ~rank ~rem0 ~lb0
-
-(* Portfolio: race one instance per branch ordering over a split of the
-   domain budget.  All instances share the node budget, the incumbent bound
-   (so any instance's incumbent prunes every other) and the deadline; the
-   reduction prefers the lowest cost, ties to the lowest instance index —
-   instance 0 is the canonical ordering, so a completed portfolio search
-   reports the same cost as the plain engine. *)
-let run_portfolio env root_view base_rng ~domains =
-  let insts = Array.of_list all_orderings in
-  let n = Array.length insts in
-  let doms = Array.make n 1 in
-  if domains >= n then begin
-    let base = domains / n and extra = domains mod n in
-    for k = 0 to n - 1 do
-      doms.(k) <- base + (if k < extra then 1 else 0)
-    done
-  end;
-  let src = Noc_util.Prng.copy base_rng in
-  let rngs = Array.init n (fun _ -> Noc_util.Prng.split src) in
-  let run k () =
-    let env_k = { env with branchable = order_entries insts.(k) env.branchable } in
-    run_search env_k root_view rngs.(k) ~domains:doms.(k) ~rank:k
-  in
-  let handles = Array.init (n - 1) (fun j -> Domain.spawn (run (j + 1))) in
-  let r0 = run 0 () in
-  let rest = Array.map Domain.join handles in
-  Array.fold_left
-    (fun (res, ctxs) (r, c) -> (res @ r, ctxs @ c))
-    r0 rest
+  else run_work_stealing env root_view ~domains ~rem0 ~lb0
 
 (* ------------------------------------------------------------------ *)
 
@@ -806,18 +725,19 @@ let rec path_lt p q =
   | _ :: _, [] -> false
   | a :: p', b :: q' -> a < b || (a = b && path_lt p' q')
 
-(* Deterministic reduction over every recorded incumbent: minimum cost,
-   ties to the lowest instance rank, then to the depth-first-smallest leaf
-   path.  Equal to the sequential engine's pick whenever the search ran to
-   completion. *)
+(* Deterministic reduction over every recorded incumbent
+   [(cost, from_fallback, leaf path, decomposition)]: minimum cost, ties to
+   the search over the greedy fallback seed, then to the depth-first-smallest
+   leaf path.  Equal to the sequential engine's pick whenever the search ran
+   to completion. *)
 let reduce_results results =
   List.fold_left
-    (fun best ((c, r, p, _) as cand) ->
+    (fun best ((c, f, p, _) as cand) ->
       match best with
       | None -> Some cand
-      | Some (bc, br, bp, _) ->
-          if c < bc || (c = bc && (r < br || (r = br && path_lt p bp))) then
-            Some cand
+      | Some (bc, bf, bp, _) ->
+          if c < bc || (c = bc && ((bf && not f) || (f = bf && path_lt p bp)))
+          then Some cand
           else best)
     None results
 
@@ -825,10 +745,8 @@ let reduce_results results =
    checked against the constraints, published as the initial incumbent.
    It bounds the search from the first node, and if the budget dies before
    the search finds anything better the caller still gets a feasible
-   decomposition.  Ranked after every search instance, so it only wins
+   decomposition.  Ranked after the search on cost ties, so it only wins
    when the search found nothing at least as good. *)
-let fallback_rank = max_int
-
 let fallback_seed env root_view rng =
   (* the seed honours the deadline too: truncation only enlarges the
      remainder (realized as dedicated links), so the result stays a valid
@@ -856,7 +774,7 @@ let fallback_seed env root_view rng =
     cas_min env.shared_best total;
     if Obs.enabled env.obs then
       Obs.instant env.obs "fallback-seed" ~args:[ ("cost", Obs.Json.Float total) ];
-    Some (total, fallback_rank, [], d)
+    Some (total, true, [], d)
   end
   else None
 
@@ -878,9 +796,6 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled)
     match opts.neutrals with
     | Branch -> library
     | Greedy -> List.filter is_saver library
-  in
-  let branchable =
-    if opts.portfolio then branchable else order_entries opts.ordering branchable
   in
   let compiled, frozen =
     Obs.span observe ~cat:"setup" "compile-library" (fun () ->
@@ -953,26 +868,18 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled)
   in
   let search_results, workers =
     Obs.span observe ~cat:"search" "branch-and-bound"
-      ~args:
-        [
-          ("domains", Obs.Json.Int budget.Budget.domains);
-          ("portfolio", Obs.Json.Bool opts.portfolio);
-        ]
+      ~args:[ ("domains", Obs.Json.Int budget.Budget.domains) ]
       (fun () ->
-        if opts.portfolio then
-          run_portfolio env root_view base_rng ~domains:budget.Budget.domains
-        else
-          run_search env root_view base_rng ~domains:budget.Budget.domains
-            ~rank:0)
+        run_search env root_view base_rng ~domains:budget.Budget.domains)
   in
   let elapsed = Timer.now_mono_s () -. t0 in
   let all_results =
     match seed with Some s -> s :: search_results | None -> search_results
   in
   let reduced = reduce_results all_results in
-  let decomp, best_cost, met, fallback_used, win_rank =
+  let decomp, best_cost, met, fallback_used =
     match reduced with
-    | Some (c, r, _, d) -> (d, c, true, r = fallback_rank, r)
+    | Some (c, f, _, d) -> (d, c, true, f)
     | None ->
         (* no complete decomposition was accepted (constraints rejected
            them all, or the budget ran out before the first leaf): fall
@@ -987,12 +894,7 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled)
               Constraints.satisfied ~rng:base_rng c acg
                 (Synthesis.of_decomposition acg d)
         in
-        (d, Cost.remainder_cost opts.cost acg (Acg.graph acg), met, false, -1)
-  in
-  let winner =
-    if opts.portfolio && win_rank >= 0 && win_rank < List.length all_orderings
-    then Some (ordering_name (List.nth all_orderings win_rank))
-    else None
+        (d, Cost.remainder_cost opts.cost acg (Acg.graph acg), met, false)
   in
   let sum f = List.fold_left (fun acc w -> acc + f w) 0 workers in
   let timed_out = List.exists (fun w -> w.timed_out) workers in
@@ -1032,7 +934,6 @@ let decompose ?(options = default_options) ?budget ?(observe = Obs.disabled)
       constraints_met = met;
       fallback_used;
       gap_pct;
-      winner;
       per_primitive;
       vf2 =
         (match instr with

@@ -11,6 +11,15 @@
     decomposition (Eq. 2); the minimum-cost legal decomposition is
     returned (Eq. 4).
 
+    Two departures from the literal pseudo-code, neither of which can
+    raise the returned cost.  Every inner node is also evaluated as a leaf
+    (stopping there leaves a matchable graph as remainder), which lets the
+    search reject energy-losing matchings; on cost ties the deeper
+    decomposition found first is kept.  And along any root-to-leaf path
+    matchings are explored in non-decreasing library-id order: a
+    decomposition is a multiset of matchings, so each one is visited once
+    instead of once per permutation.
+
     Following Section 5.1's advice, both the isomorphism search and the
     overall decomposition accept a wall-clock budget: on time-out the best
     incumbent found so far is returned and flagged. *)
@@ -27,23 +36,6 @@ type neutral_strategy =
           exactly as much as dedicated links, are re-attached by a
           deterministic greedy pass at each leaf.  Same optimal cost, same
           style of listing, dramatically smaller search tree. *)
-
-(** Heuristic branch orderings: the order library entries are tried at
-    every node.  Only the iteration order changes — the canonical multiset
-    dedup filters on entry ids, so every ordering explores the same search
-    space and a completed search reports the same minimal cost; what moves
-    is how quickly a good incumbent is found, which is what the portfolio
-    races. *)
-type ordering =
-  | Canonical  (** library order (the seed engine's order) *)
-  | Coverage_first  (** most covered edges first — big savers early *)
-  | Ratio_first  (** best links-per-covered-edge ratio first *)
-
-val all_orderings : ordering list
-(** The portfolio, in rank order: [Canonical] first. *)
-
-val ordering_name : ordering -> string
-val ordering_of_string : string -> ordering option
 
 (** The search budget: every resource limit of one [decompose] call in a
     single record.
@@ -92,22 +84,11 @@ type options = {
           are expanded at one tree node.  The paper's Fig. 2 tree branches
           on one isomorphism per library graph per node, which is the
           default (1); larger values widen the search *)
-  allow_early_remainder : bool;
-      (** also consider stopping the decomposition at inner nodes (leaving
-          a matchable graph as remainder).  A strict generalization of the
-          paper's leaves-only rule — never worse, and lets the algorithm
-          reject energy-losing matchings; on cost ties the deeper (more
-          matched) decomposition found first is kept. *)
   role_aware : bool;
       (** under an energy cost the vertex-role assignment of a matching
           changes its cost (which pairs ride multi-hop routes); when set,
           matches with the same covered-edge set are represented by their
           cheapest role assignment rather than the first one found *)
-  canonical_order : bool;
-      (** explore matchings in non-decreasing library-id order along any
-          root-to-leaf path: decompositions are multisets of matchings, so
-          this visits each multiset once instead of once per permutation
-          (default true) *)
   neutrals : neutral_strategy;  (** default [Greedy] *)
   approx_missing : int;
       (** tolerance of the relaxed matching the paper suggests in
@@ -115,16 +96,6 @@ type options = {
           of its pattern edges have no counterpart in the remaining graph
           (the implementation still provides the full wiring).  0 = exact
           matching only (default). *)
-  ordering : ordering;
-      (** branch ordering for a single-instance search (default
-          [Canonical]); ignored when [portfolio] is set *)
-  portfolio : bool;
-      (** race one search instance per {!all_orderings} element, splitting
-          [Budget.domains] across them (each instance gets at least one
-          domain, so with fewer domains than orderings the machine is
-          oversubscribed); all instances share the node budget and the
-          incumbent bound, and the reduction prefers the lowest cost with
-          ties to the canonical instance (default false) *)
   fallback : bool;
       (** before searching, run the deterministic greedy completion from
           the root and publish it as the initial incumbent: it prunes from
@@ -135,8 +106,7 @@ type options = {
 
 val default_options : options
 (** [Edge_count] cost, no constraints, one match per primitive per step,
-    [allow_early_remainder = true], [role_aware = false],
-    [canonical_order = true].  Resource limits live in {!Budget.t}. *)
+    [role_aware = false].  Resource limits live in {!Budget.t}. *)
 
 val energy_options :
   tech:Noc_energy.Technology.t -> fp:Noc_energy.Floorplan.t -> options
@@ -174,9 +144,6 @@ type stats = {
       (** only on a timed-out search: the reported cost's distance above
           the root admissible lower bound, in percent — an upper bound on
           the true optimality gap.  [None] when the search completed. *)
-  winner : string option;
-      (** portfolio mode: {!ordering_name} of the instance whose incumbent
-          was returned; [None] otherwise *)
   per_primitive : (string * prim_stats) list;
       (** match attempts/hits per library primitive, in library order *)
   vf2 : vf2_stats;
@@ -237,8 +204,8 @@ val decompose :
     on the shared bound only when its admissible lower bound is
     {e strictly} above it, so no subtree that could attain the global
     minimum is ever lost to scheduling.  Every task carries its root-path
-    (child indices), and the reduction minimizes (cost, instance rank,
-    depth-first path), so the returned decomposition and [best_cost] are
+    (child indices), and the reduction minimizes (cost, search before the
+    greedy fallback seed, depth-first path), so the returned decomposition and [best_cost] are
     identical to the sequential run's — independent of steal order —
     whenever the search completes within its budget and the constraint
     check is deterministic (in particular always when

@@ -590,12 +590,16 @@ let parse_exn s =
   | Error (`Msg m) -> Alcotest.failf "parse failed: %s" m
 
 let test_acg_io_roundtrip () =
-  let acg = Acg.of_weighted_edges [ (1, 2, 100, 0.5); (2, 3, 50, 0.25); (7, 1, 8, 1.5) ] in
+  let acg =
+    Acg.of_weighted_edges
+      [ (1, 2, 100, 0.5); (2, 3, 50, 0.25); (7, 1, 8, 1.5); (3, 4, 0, 0.0) ]
+  in
   let acg' = parse_exn (Io.to_string acg) in
   Alcotest.(check int) "cores" (Acg.num_cores acg) (Acg.num_cores acg');
   Alcotest.(check int) "flows" (Acg.num_flows acg) (Acg.num_flows acg');
   Alcotest.(check int) "volume" 100 (Acg.volume acg' 1 2);
-  Alcotest.(check (float 1e-9)) "bandwidth" 0.25 (Acg.bandwidth acg' 2 3)
+  Alcotest.(check (float 1e-9)) "bandwidth" 0.25 (Acg.bandwidth acg' 2 3);
+  Alcotest.(check (float 0.0)) "zero bandwidth is valid" 0.0 (Acg.bandwidth acg' 3 4)
 
 let test_acg_io_isolated_vertices () =
   let g = D.add_vertex (D.of_edges [ (1, 2) ]) 9 in
@@ -643,7 +647,18 @@ let test_acg_io_errors () =
   check_parse_error "self-loop" "line 2, column 1: self-loop 3 -> 3 is not a flow"
     "1 2 64 0.5\n3 3 5 0.5";
   check_parse_error "duplicate edge" "line 3, column 1: duplicate edge 1 -> 2"
-    "1 2 64 0.5\n2 3 32 0.1\n1 2 9 0.9"
+    "1 2 64 0.5\n2 3 32 0.1\n1 2 9 0.9";
+  (* volumes and bandwidths are physical quantities: a negative volume
+     would cancel other flows' bits, a NaN bandwidth poisons every metric *)
+  check_parse_error "negative volume" "line 2, column 5: negative volume '-64'"
+    "1 2 64 0.5\n2 3 -64 0.5";
+  check_parse_error "negative bandwidth"
+    "line 1, column 8: bandwidth '-0.5' is not finite and non-negative" "1 2 64 -0.5";
+  check_parse_error "nan bandwidth"
+    "line 2, column 8: bandwidth 'nan' is not finite and non-negative"
+    "1 2 64 0.5\n2 3 64 nan";
+  check_parse_error "infinite bandwidth"
+    "line 1, column 8: bandwidth 'inf' is not finite and non-negative" "1 2 64 inf"
 
 let test_acg_io_load () =
   let acg = aes_acg () in
@@ -889,14 +904,16 @@ let test_acg_pp () =
   Alcotest.(check bool) "mentions cores" true (contains s "2 cores");
   Alcotest.(check bool) "mentions flow" true (contains s "1 -> 2")
 
-let test_non_canonical_order_same_cost () =
+(* The min_id canonical filter prunes permuted copies of a branch; on a
+   planted K4 + 4-loop it must still reach the exhaustive optimum. *)
+let test_canonical_order_keeps_optimum () =
   let rng = Prng.create ~seed:55 in
-  let g = G.planted ~rng ~n:9 ~parts:[ G.complete 4; G.loop 4 ] in
+  let g = G.planted ~rng ~n:8 ~parts:[ G.complete 4; G.loop 4 ] in
   let acg = Acg.uniform ~volume:1 ~bandwidth:0.0 g in
-  let _, s1 = decompose acg in
-  let options = { Bb.default_options with canonical_order = false } in
-  let _, s2 = decompose ~options acg in
-  Alcotest.(check (float 1e-9)) "same best cost" s1.Bb.best_cost s2.Bb.best_cost
+  let _, s = decompose acg in
+  Alcotest.(check (float 1e-9)) "oracle cost"
+    (Noc_oracle.Exact.optimal_cost ~library:(lib ()) (Acg.graph acg))
+    s.Bb.best_cost
 
 (* -------------------------------------------------------------------- *)
 (* Properties                                                            *)
@@ -1089,8 +1106,8 @@ let suite =
       Alcotest.test_case "violation printers" `Quick test_violation_printers;
       Alcotest.test_case "energy listing format" `Quick test_energy_listing_format;
       Alcotest.test_case "acg pretty printer" `Quick test_acg_pp;
-      Alcotest.test_case "non-canonical order same cost" `Quick
-        test_non_canonical_order_same_cost;
+      Alcotest.test_case "canonical order keeps the optimum" `Quick
+        test_canonical_order_keeps_optimum;
       Alcotest.test_case "mapping identity" `Quick test_mapping_identity_apply;
       Alcotest.test_case "mapping relabels attributes" `Quick test_mapping_apply_relabels;
       Alcotest.test_case "mapping optimization improves" `Quick test_mapping_optimize_improves;

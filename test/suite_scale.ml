@@ -1,6 +1,6 @@
 (* Tests for the large-scale search machinery: work-stealing parallel
-   decomposition, the branch-ordering portfolio, the anytime/greedy
-   fallback, budget resolution/clamping, and the benchkit scaling tier.
+   decomposition, the anytime/greedy fallback and its tie with the search,
+   budget resolution/clamping, and the benchkit scaling tier.
 
    test_noc.ml sets NOCSYNTH_MAX_DOMAINS=8 before Alcotest runs, so
    multi-domain paths really execute even on a single-CPU CI box. *)
@@ -59,15 +59,6 @@ let test_resolve_budget_default () =
     b.Bb.Budget.max_nodes;
   Alcotest.(check int) "one domain" 1 b.Bb.Budget.domains
 
-let test_ordering_names_roundtrip () =
-  List.iter
-    (fun o ->
-      Alcotest.(check bool)
-        (Bb.ordering_name o ^ " round-trips")
-        true
-        (Bb.ordering_of_string (Bb.ordering_name o) = Some o))
-    Bb.all_orderings
-
 (* -------------------------------------------------------------------- *)
 (* Work stealing: parallel cost = sequential cost                        *)
 
@@ -97,37 +88,6 @@ let test_ws_counters () =
   Alcotest.(check int) "sequential run is one task" 1 st1.Bb.tasks
 
 (* -------------------------------------------------------------------- *)
-(* Portfolio: the raced winner is never worse than any single ordering   *)
-
-let qcheck_portfolio_never_worse =
-  QCheck.Test.make
-    ~name:"portfolio winner <= every single branch ordering" ~count:30
-    QCheck.(pair small_int (int_range 6 11))
-    (fun (seed, n) ->
-      let acg = sparse_acg ~seed:(seed + 8200) ~n in
-      let singles =
-        List.map
-          (fun ordering ->
-            Bb.decompose
-              ~options:{ Bb.default_options with ordering }
-              ~library:(lib ()) acg)
-          Bb.all_orderings
-      in
-      let _, sp =
-        Bb.decompose
-          ~options:{ Bb.default_options with portfolio = true }
-          ~budget:Bb.Budget.(default |> with_domains 3)
-          ~library:(lib ()) acg
-      in
-      if sp.Bb.timed_out || List.exists (fun (_, s) -> s.Bb.timed_out) singles then
-        true (* exhausted searches are anytime results; no ranking claim *)
-      else
-        sp.Bb.winner <> None
-        && List.for_all
-             (fun (_, s) -> sp.Bb.best_cost <= s.Bb.best_cost +. 1e-9)
-             singles)
-
-(* -------------------------------------------------------------------- *)
 (* Anytime fallback: budget exhaustion still yields a feasible answer    *)
 
 let check_fallback_feasible acg =
@@ -146,6 +106,42 @@ let qcheck_fallback_always_feasible =
     ~name:"fallback under a starved budget is always constraint-feasible" ~count:50
     QCheck.(pair small_int (int_range 12 24))
     (fun (seed, n) -> check_fallback_feasible (sparse_acg ~seed:(seed + 9400) ~n))
+
+(* The reduction breaks cost ties in favour of the search over the greedy
+   seed.  Whenever the search completes it finds a decomposition at least
+   as cheap as the seed, so the seed must change neither the answer nor
+   the listing, and is never reported as used.  On these inputs the greedy
+   seed is usually already optimal, so the tie is the case exercised; the
+   planted gossip graphs give the listings matchings whose order could
+   differ between the seed and the search. *)
+let qcheck_fallback_never_wins_completed_search =
+  QCheck.Test.make
+    ~name:"fallback seed never changes a completed search's answer" ~count:60
+    QCheck.(pair small_int (int_range 8 20))
+    (fun (seed, n) ->
+      let acg =
+        if seed mod 2 = 0 then sparse_acg ~seed:(seed + 9900) ~n
+        else
+          let rng = Prng.create ~seed:(seed + 9900) in
+          Acg.uniform ~volume:8 ~bandwidth:0.05
+            (G.planted ~rng ~n ~parts:[ G.complete 4; G.loop 4; G.complete 4 ])
+      in
+      let run ~fallback domains =
+        Bb.decompose
+          ~options:{ Bb.default_options with fallback }
+          ~budget:Bb.Budget.(default |> with_domains domains)
+          ~library:(lib ()) acg
+      in
+      let listing d = Format.asprintf "%a" Decomp.pp d in
+      List.for_all
+        (fun domains ->
+          let d0, s0 = run ~fallback:false domains in
+          let d1, s1 = run ~fallback:true domains in
+          s0.Bb.timed_out || s1.Bb.timed_out
+          || (s0.Bb.best_cost = s1.Bb.best_cost
+             && listing d0 = listing d1
+             && not s1.Bb.fallback_used))
+        [ 1; 2 ])
 
 let test_fallback_scale_clustered () =
   (* a scaling-tier-sized input under a starved budget: the greedy seed
@@ -193,12 +189,11 @@ let suite =
       Alcotest.test_case "resolve_budget preserves time and node limits" `Quick
         test_resolve_budget_preserves_limits;
       Alcotest.test_case "resolve_budget defaults" `Quick test_resolve_budget_default;
-      Alcotest.test_case "ordering names round-trip" `Quick test_ordering_names_roundtrip;
       Alcotest.test_case "work-stealing scheduler counters" `Quick test_ws_counters;
       Alcotest.test_case "fallback on a 128-core clustered graph" `Quick
         test_fallback_scale_clustered;
       Alcotest.test_case "scale corpus shape" `Quick test_scale_corpus_shape;
       QCheck_alcotest.to_alcotest qcheck_ws_cost_equals_sequential;
-      QCheck_alcotest.to_alcotest qcheck_portfolio_never_worse;
+      QCheck_alcotest.to_alcotest qcheck_fallback_never_wins_completed_search;
       QCheck_alcotest.to_alcotest qcheck_fallback_always_feasible;
     ] )

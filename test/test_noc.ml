@@ -1,5 +1,5 @@
-(* The suite exercises multi-domain search paths (work stealing, portfolio)
-   even on single-core CI boxes: lift the recommended-domain-count clamp so
+(* The suite exercises the multi-domain work-stealing search even on
+   single-core CI boxes: lift the recommended-domain-count clamp so
    ~domains:4 really runs 4 workers (oversubscribed, but correct). *)
 let () = Unix.putenv "NOCSYNTH_MAX_DOMAINS" "8"
 
