@@ -11,14 +11,27 @@ let phits_per_flit cfg = (cfg.flit_bits + cfg.phit_bits - 1) / cfg.phit_bits
 
 type delivery = { packet : Packet.t; delivered_at : int }
 
+(* A route of [arch.routes], resolved once: the vertex path all its
+   packets share, the index of its source router, and the VOQ its flits
+   occupy at each hop ([Router.flit.path]). *)
+type route = { vertices : int array; src_router : int; path : Router.voq array }
+
 type t = {
-  arch : Syn.t;
   cfg : config;
   ppf : int;
-  order : int array;  (* all router ids, ascending: the one scan order every phase uses *)
-  routers : (int, Router.t) Hashtbl.t;
-  credit_due : (int, Credit.t list ref) Hashtbl.t;
-  mutable pending_credits : int;
+  routers : Router.t array;
+      (* one per vertex, ascending: the one scan order every phase uses *)
+  routes : route Edge_map.t;
+  down : int array array;
+      (* [down.(r).(p)]: index of the router that output [p] of router [r]
+         feeds ([-1] for the ejection port) *)
+  queued : int array array;  (* flits in the VOQs of each output port *)
+  held : int array;  (* flits in each router's VOQs *)
+  wires : int array;  (* flits on each router's outgoing links *)
+  link_count : int array array;  (* flits that arrived over each output link *)
+  switch_count : int array;  (* flits each router switched onto a link or ejected *)
+  mutable credits_due : Credit.t list;
+      (* returns scheduled this cycle: every return lands one cycle later *)
   mutable cycle : int;
   mutable next_id : int;
   mutable injected_packets : int;
@@ -31,8 +44,6 @@ type t = {
   mutable wire_occupancy : int;
   mutable flit_hops : int;
   mutable buffer_flit_cycles : int;
-  mutable link_flits : int Edge_map.t;
-  mutable switch_flits : int Vmap.t;
   mutable moved : bool;
   mutable last_ready : int;
       (* latest ready_at ever assigned: while cycle < last_ready a flit may
@@ -54,21 +65,43 @@ let create ?(config = default_config) arch =
       arch.Syn.routes (D.vertices topo)
   in
   let order = Array.of_list (D.Vset.elements vset) in
-  let routers = Hashtbl.create (Array.length order) in
-  Array.iter
-    (fun v ->
-      let preds = if D.mem_vertex topo v then D.Vset.elements (D.pred topo v) else [] in
-      let succs = if D.mem_vertex topo v then D.Vset.elements (D.succ topo v) else [] in
-      Hashtbl.replace routers v (Router.create ~node:v ~preds ~succs ~depth:config.fifo_depth))
-    order;
+  let index = Hashtbl.create (Array.length order) in
+  Array.iteri (fun i v -> Hashtbl.replace index v i) order;
+  let routers =
+    Array.map
+      (fun v ->
+        let preds = if D.mem_vertex topo v then D.Vset.elements (D.pred topo v) else [] in
+        let succs = if D.mem_vertex topo v then D.Vset.elements (D.succ topo v) else [] in
+        Router.create ~node:v ~preds ~succs ~depth:config.fifo_depth)
+      order
+  in
+  let resolve path =
+    let vertices = Array.of_list path in
+    let last = Array.length vertices - 1 in
+    let voq_at i v =
+      Router.find_voq
+        routers.(Hashtbl.find index v)
+        ~input:(if i = 0 then Router.Local else Router.From vertices.(i - 1))
+        ~output:(if i = last then Router.Eject else Router.To vertices.(i + 1))
+    in
+    { vertices; src_router = Hashtbl.find index vertices.(0); path = Array.mapi voq_at vertices }
+  in
+  let per_port f = Array.map (fun (r : Router.t) -> Array.map f r.Router.outputs) routers in
+  let n = Array.length routers in
   {
-    arch;
     cfg = config;
     ppf = phits_per_flit config;
-    order;
     routers;
-    credit_due = Hashtbl.create 64;
-    pending_credits = 0;
+    routes = Edge_map.map resolve arch.Syn.routes;
+    down =
+      per_port (fun p ->
+          match p.Router.dest with Router.Eject -> -1 | Router.To v -> Hashtbl.find index v);
+    queued = per_port (fun _ -> 0);
+    held = Array.make n 0;
+    wires = Array.make n 0;
+    link_count = per_port (fun _ -> 0);
+    switch_count = Array.make n 0;
+    credits_due = [];
     cycle = 0;
     next_id = 0;
     injected_packets = 0;
@@ -81,60 +114,26 @@ let create ?(config = default_config) arch =
     wire_occupancy = 0;
     flit_hops = 0;
     buffer_flit_cycles = 0;
-    link_flits = Edge_map.empty;
-    switch_flits = Vmap.empty;
     moved = false;
     last_ready = 0;
   }
 
 let now t = t.cycle
 let config t = t.cfg
-let router t v = Hashtbl.find t.routers v
-
-(* Output port a flit wants at the router [route.(at)]. *)
-let output_at (f : Router.flit) ~at =
-  let route = f.Router.packet.Packet.route in
-  if at = Array.length route - 1 then Router.Eject else Router.To route.(at + 1)
-
-(* The downstream VOQ a flit lands in when its current router puts it on
-   the link — the queue whose credit the sender must hold. *)
-let downstream_voq t (f : Router.flit) =
-  let route = f.Router.packet.Packet.route in
-  let here = route.(f.Router.hop) in
-  let next = route.(f.Router.hop + 1) in
-  Router.find_voq (router t next) ~input:(Router.From here) ~output:(output_at f ~at:(f.Router.hop + 1))
-
-let schedule_credit t at credits =
-  let l =
-    match Hashtbl.find_opt t.credit_due at with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace t.credit_due at l;
-        l
-  in
-  l := credits :: !l;
-  t.pending_credits <- t.pending_credits + 1
-
-let bump_link t key = t.link_flits <- Edge_map.update key (fun n -> Some (Option.value n ~default:0 + 1)) t.link_flits
-let bump_switch t v = t.switch_flits <- Vmap.update v (fun n -> Some (Option.value n ~default:0 + 1)) t.switch_flits
 
 let inject ?(tag = 0) ?(payload = Bytes.empty) ?(size_flits = 1) t ~src ~dst =
   if size_flits < 1 then invalid_arg "Flitsim.inject: size_flits must be >= 1";
-  match Syn.route t.arch ~src ~dst with
+  match Edge_map.find_opt (src, dst) t.routes with
   | None -> invalid_arg (Printf.sprintf "Flitsim.inject: no route %d -> %d" src dst)
-  | Some path ->
-      let route = Array.of_list path in
+  | Some { vertices; src_router; path } ->
       let id = t.next_id in
       t.next_id <- id + 1;
       let packet =
-        { Packet.id; src; dst; size_flits; tag; payload; route; injected_at = t.cycle }
+        { Packet.id; src; dst; size_flits; tag; payload; route = vertices; injected_at = t.cycle }
       in
-      let r = router t src in
+      let ni = t.routers.(src_router).Router.ni in
       for idx = 0 to size_flits - 1 do
-        Queue.add
-          { Router.flit = { Router.packet; idx; hop = 0 }; ready_at = t.cycle }
-          r.Router.ni
+        Queue.add { Router.flit = { Router.packet; idx; hop = 0; path }; ready_at = t.cycle } ni
       done;
       t.injected_packets <- t.injected_packets + 1;
       t.injected_flits <- t.injected_flits + size_flits;
@@ -142,122 +141,117 @@ let inject ?(tag = 0) ?(payload = Bytes.empty) ?(size_flits = 1) t ~src ~dst =
       id
 
 let head_ready c (voq : Router.voq) =
-  match Queue.peek_opt voq.Router.q with
-  | Some e -> e.Router.ready_at <= c
-  | None -> false
+  (not (Queue.is_empty voq.Router.q)) && (Queue.peek voq.Router.q).Router.ready_at <= c
+
+(* A flit leaves VOQ [voq] at router [r], onto a link or into the sink;
+   the queue's upstream sender gets the slot back next cycle ([Local]
+   queues have no upstream link and no credits). *)
+let dequeue t r (voq : Router.voq) =
+  let e = Queue.pop voq.Router.q in
+  let p = voq.Router.port in
+  t.queued.(r).(p) <- t.queued.(r).(p) - 1;
+  t.held.(r) <- t.held.(r) - 1;
+  t.voq_occupancy <- t.voq_occupancy - 1;
+  t.switch_count.(r) <- t.switch_count.(r) + 1;
+  (match voq.Router.input with
+  | Router.Local -> ()
+  | Router.From _ -> t.credits_due <- voq.Router.credits :: t.credits_due);
+  t.moved <- true;
+  e
+
+(* [e] enters its VOQ [voq] at router [r], switch-eligible [router_delay]
+   cycles from now. *)
+let enqueue t c r (voq : Router.voq) (e : Router.entry) =
+  e.Router.ready_at <- c + t.cfg.router_delay;
+  t.last_ready <- max t.last_ready e.Router.ready_at;
+  Queue.add e voq.Router.q;
+  let p = voq.Router.port in
+  t.queued.(r).(p) <- t.queued.(r).(p) + 1;
+  t.held.(r) <- t.held.(r) + 1;
+  t.voq_occupancy <- t.voq_occupancy + 1;
+  t.moved <- true
 
 let step t =
   t.cycle <- t.cycle + 1;
   let c = t.cycle in
+  let n = Array.length t.routers in
   t.buffer_flit_cycles <- t.buffer_flit_cycles + t.voq_occupancy;
   t.moved <- false;
   (* phase 1: credit returns land *)
-  (match Hashtbl.find_opt t.credit_due c with
-  | None -> ()
-  | Some l ->
-      List.iter
-        (fun cr ->
-          Credit.put cr;
-          t.pending_credits <- t.pending_credits - 1)
-        !l;
-      Hashtbl.remove t.credit_due c);
+  List.iter Credit.put t.credits_due;
+  t.credits_due <- [];
   (* phase 2: link arrivals enter downstream VOQs *)
-  Array.iter
-    (fun u ->
-      let r = router t u in
-      Array.iter
-        (fun (p : Router.port) ->
-          match (p.Router.dest, p.Router.in_flight) with
-          | Router.To v, Some (f, arrive) when arrive <= c ->
+  for r = 0 to n - 1 do
+    if t.wires.(r) > 0 then
+      Array.iteri
+        (fun i (p : Router.port) ->
+          match p.Router.in_flight with
+          | Some (e, arrive) when arrive <= c ->
               p.Router.in_flight <- None;
+              let f = e.Router.flit in
               f.Router.hop <- f.Router.hop + 1;
-              let voq =
-                Router.find_voq (router t v) ~input:(Router.From u)
-                  ~output:(output_at f ~at:f.Router.hop)
-              in
-              Queue.add { Router.flit = f; ready_at = c + t.cfg.router_delay } voq.Router.q;
-              t.last_ready <- max t.last_ready (c + t.cfg.router_delay);
+              enqueue t c t.down.(r).(i) f.Router.path.(f.Router.hop) e;
+              t.wires.(r) <- t.wires.(r) - 1;
               t.wire_occupancy <- t.wire_occupancy - 1;
-              t.voq_occupancy <- t.voq_occupancy + 1;
               t.flit_hops <- t.flit_hops + 1;
-              bump_link t (u, v);
-              t.moved <- true
+              t.link_count.(r).(i) <- t.link_count.(r).(i) + 1
           | _ -> ())
-        r.Router.outputs)
-    t.order;
-  (* phase 3: ejection, one flit per sink per cycle *)
-  Array.iter
-    (fun v ->
-      let r = router t v in
-      match Router.port r Router.Eject with
-      | exception Not_found -> ()
-      | p -> (
-          match Router.arbitrate p (head_ready c) with
+        t.routers.(r).Router.outputs
+  done;
+  (* phase 3: ejection, one flit per sink per cycle; the sink is output 0 *)
+  let ready = head_ready c in
+  for r = 0 to n - 1 do
+    if t.queued.(r).(0) > 0 then
+      match Router.arbitrate t.routers.(r).Router.outputs.(0) ready with
+      | None -> ()
+      | Some voq ->
+          let f = (dequeue t r voq).Router.flit in
+          t.delivered_flits <- t.delivered_flits + 1;
+          if f.Router.idx = f.Router.packet.Packet.size_flits - 1 then begin
+            t.delivered_rev <- { packet = f.Router.packet; delivered_at = c } :: t.delivered_rev;
+            t.delivered_packets <- t.delivered_packets + 1
+          end
+  done;
+  (* phase 4: switch allocation + link sends, gated on downstream credits *)
+  let sendable voq =
+    ready voq
+    &&
+    let f = (Queue.peek voq.Router.q).Router.flit in
+    Credit.available f.Router.path.(f.Router.hop + 1).Router.credits > 0
+  in
+  for r = 0 to n - 1 do
+    (* some flit waits for a link, not the sink *)
+    if t.held.(r) > t.queued.(r).(0) then begin
+      let outputs = t.routers.(r).Router.outputs in
+      for i = 1 to Array.length outputs - 1 do
+        let p = outputs.(i) in
+        if t.queued.(r).(i) > 0 && Option.is_none p.Router.in_flight && p.Router.busy_until <= c then
+          match Router.arbitrate p sendable with
           | None -> ()
           | Some voq ->
-              let e = Queue.pop voq.Router.q in
-              t.voq_occupancy <- t.voq_occupancy - 1;
-              t.delivered_flits <- t.delivered_flits + 1;
-              bump_switch t v;
-              if voq.Router.input <> Router.Local then
-                schedule_credit t (c + 1) voq.Router.credits;
+              let e = dequeue t r voq in
               let f = e.Router.flit in
-              if f.Router.idx = f.Router.packet.Packet.size_flits - 1 then begin
-                t.delivered_rev <- { packet = f.Router.packet; delivered_at = c } :: t.delivered_rev;
-                t.delivered_packets <- t.delivered_packets + 1
-              end;
-              t.moved <- true))
-    t.order;
-  (* phase 4: switch allocation + link sends, gated on downstream credits *)
-  Array.iter
-    (fun u ->
-      let r = router t u in
-      Array.iter
-        (fun (p : Router.port) ->
-          match p.Router.dest with
-          | Router.Eject -> ()
-          | Router.To _ ->
-              if p.Router.in_flight = None && p.Router.busy_until <= c then (
-                let eligible voq =
-                  head_ready c voq
-                  &&
-                  let e = Queue.peek voq.Router.q in
-                  Credit.available (downstream_voq t e.Router.flit).Router.credits > 0
-                in
-                match Router.arbitrate p eligible with
-                | None -> ()
-                | Some voq ->
-                    let e = Queue.pop voq.Router.q in
-                    let f = e.Router.flit in
-                    ignore (Credit.take (downstream_voq t f).Router.credits);
-                    if voq.Router.input <> Router.Local then
-                      schedule_credit t (c + 1) voq.Router.credits;
-                    p.Router.in_flight <- Some (f, c + t.ppf);
-                    p.Router.busy_until <- c + t.ppf;
-                    t.voq_occupancy <- t.voq_occupancy - 1;
-                    t.wire_occupancy <- t.wire_occupancy + 1;
-                    bump_switch t u;
-                    t.moved <- true))
-        r.Router.outputs)
-    t.order;
+              ignore (Credit.take f.Router.path.(f.Router.hop + 1).Router.credits);
+              p.Router.in_flight <- Some (e, c + t.ppf);
+              p.Router.busy_until <- c + t.ppf;
+              t.wires.(r) <- t.wires.(r) + 1;
+              t.wire_occupancy <- t.wire_occupancy + 1
+      done
+    end
+  done;
   (* phase 5: NI injection, one flit per source per cycle *)
-  Array.iter
-    (fun v ->
-      let r = router t v in
-      match Queue.peek_opt r.Router.ni with
-      | None -> ()
-      | Some e ->
-          let voq = Router.find_voq r ~input:Router.Local ~output:(output_at e.Router.flit ~at:0) in
-          if Queue.length voq.Router.q < t.cfg.fifo_depth then begin
-            ignore (Queue.pop r.Router.ni);
-            e.Router.ready_at <- c + t.cfg.router_delay;
-            t.last_ready <- max t.last_ready e.Router.ready_at;
-            Queue.add e voq.Router.q;
-            t.ni_occupancy <- t.ni_occupancy - 1;
-            t.voq_occupancy <- t.voq_occupancy + 1;
-            t.moved <- true
-          end)
-    t.order
+  for r = 0 to n - 1 do
+    let ni = t.routers.(r).Router.ni in
+    if not (Queue.is_empty ni) then begin
+      let e = Queue.peek ni in
+      let voq = e.Router.flit.Router.path.(0) in
+      if Queue.length voq.Router.q < t.cfg.fifo_depth then begin
+        ignore (Queue.pop ni);
+        t.ni_occupancy <- t.ni_occupancy - 1;
+        enqueue t c r voq e
+      end
+    end
+  done
 
 let pending t = t.injected_packets - t.delivered_packets
 
@@ -271,7 +265,7 @@ let run_until_idle ?(max_cycles = 100_000) t =
       (* No movement with nothing on a wire and no credit in flight is a
          fixpoint: the same allocation decisions repeat forever. *)
       if
-        (not t.moved) && t.wire_occupancy = 0 && t.pending_credits = 0
+        (not t.moved) && t.wire_occupancy = 0 && t.credits_due = []
         && t.cycle >= t.last_ready && pending t > 0
       then `Deadlock
       else go ()
@@ -286,8 +280,28 @@ let in_flight_flits t = t.ni_occupancy + t.voq_occupancy + t.wire_occupancy
 let conservation_ok t = t.injected_flits = t.delivered_flits + in_flight_flits t
 let flit_hops t = t.flit_hops
 let buffer_flit_cycles t = t.buffer_flit_cycles
-let link_flits t = t.link_flits
-let switch_flits t = t.switch_flits
+
+let link_flits t =
+  let m = ref Edge_map.empty in
+  Array.iteri
+    (fun r (router : Router.t) ->
+      Array.iteri
+        (fun i (p : Router.port) ->
+          match p.Router.dest with
+          | Router.To v when t.link_count.(r).(i) > 0 ->
+              m := Edge_map.add (router.Router.node, v) t.link_count.(r).(i) !m
+          | _ -> ())
+        router.Router.outputs)
+    t.routers;
+  !m
+
+let switch_flits t =
+  let m = ref Vmap.empty in
+  Array.iteri
+    (fun r (router : Router.t) ->
+      if t.switch_count.(r) > 0 then m := Vmap.add router.Router.node t.switch_count.(r) !m)
+    t.routers;
+  !m
 
 let summary t =
   Stats.summarize

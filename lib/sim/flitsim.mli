@@ -59,6 +59,16 @@
     (NI + VOQ + wire occupancy); {!conservation_ok} exposes the check and
     the qcheck harness asserts it after every step.
 
+    {2 Cost}
+
+    A cycle's work is proportional to the ports that hold flits, not to
+    routers x VOQs: {!create} resolves each route once into the VOQ its
+    flits occupy at every hop, so no step looks a queue up, and per-port
+    and per-router occupancy counts let every phase skip empty ports
+    (exactly: an arbiter's pointer moves only on a grant).  Phases still
+    visit non-empty routers in ascending vertex order, which fixes the
+    order of {!deliveries}.
+
     Routes are fixed and stalled flits hold buffer slots, so cyclic
     channel dependencies can genuinely deadlock the fabric (no virtual
     channels at this fidelity level); {!run_until_idle} detects the

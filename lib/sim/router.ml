@@ -1,16 +1,23 @@
-type flit = { packet : Packet.t; idx : int; mutable hop : int }
 type in_key = Local | From of int
 type out_key = Eject | To of int
-type entry = { flit : flit; mutable ready_at : int }
 
-type voq = { input : in_key; output : out_key; q : entry Queue.t; credits : Credit.t }
+type flit = { packet : Packet.t; idx : int; mutable hop : int; path : voq array }
+and entry = { flit : flit; mutable ready_at : int }
+
+and voq = {
+  input : in_key;
+  output : out_key;
+  port : int;
+  q : entry Queue.t;
+  credits : Credit.t;
+}
 
 type port = {
   dest : out_key;
   voqs : voq array;
   mutable rr : int;
   mutable busy_until : int;
-  mutable in_flight : (flit * int) option;
+  mutable in_flight : (entry * int) option;
 }
 
 type t = { node : int; ni : entry Queue.t; outputs : port array }
@@ -20,13 +27,19 @@ let create ~node ~preds ~succs ~depth =
   let dests = Eject :: List.map (fun v -> To v) (List.sort_uniq compare succs) in
   let outputs =
     Array.of_list
-      (List.map
-         (fun dest ->
+      (List.mapi
+         (fun port dest ->
            let voqs =
              Array.of_list
                (List.map
                   (fun input ->
-                    { input; output = dest; q = Queue.create (); credits = Credit.create ~capacity:depth })
+                    {
+                      input;
+                      output = dest;
+                      port;
+                      q = Queue.create ();
+                      credits = Credit.create ~capacity:depth;
+                    })
                   inputs)
            in
            { dest; voqs; rr = 0; busy_until = 0; in_flight = None })
@@ -34,20 +47,13 @@ let create ~node ~preds ~succs ~depth =
   in
   { node; ni = Queue.create (); outputs }
 
-let port t dest =
-  let n = Array.length t.outputs in
-  let rec go i = if i = n then raise Not_found
-    else if t.outputs.(i).dest = dest then t.outputs.(i) else go (i + 1)
-  in
-  go 0
-
 let find_voq t ~input ~output =
-  let p = port t output in
-  let n = Array.length p.voqs in
-  let rec go i = if i = n then raise Not_found
-    else if p.voqs.(i).input = input then p.voqs.(i) else go (i + 1)
-  in
-  go 0
+  match Array.find_opt (fun p -> p.dest = output) t.outputs with
+  | None -> raise Not_found
+  | Some p -> (
+      match Array.find_opt (fun voq -> voq.input = input) p.voqs with
+      | None -> raise Not_found
+      | Some voq -> voq)
 
 let arbitrate p eligible =
   let n = Array.length p.voqs in
@@ -66,10 +72,3 @@ let arbitrate p eligible =
     in
     go 0
   end
-
-let buffered t =
-  Array.fold_left
-    (fun acc p -> Array.fold_left (fun acc voq -> acc + Queue.length voq.q) acc p.voqs)
-    0 t.outputs
-
-let ni_buffered t = Queue.length t.ni

@@ -15,14 +15,6 @@
     occupancy — and the arbitration primitive; the clocking discipline
     (what moves in which phase of a cycle) lives in {!Flitsim}. *)
 
-type flit = {
-  packet : Packet.t;
-  idx : int;  (** 0-based flit index; [idx = size_flits - 1] is the tail *)
-  mutable hop : int;
-      (** index into [packet.route] of the router currently holding (or
-          about to receive) the flit *)
-}
-
 type in_key = Local | From of int
 (** Input port: the router's own network interface, or the link from an
     upstream router. *)
@@ -31,13 +23,26 @@ type out_key = Eject | To of int
 (** Output port: the router's ejection (sink) port, or the link to a
     downstream router. *)
 
-type entry = { flit : flit; mutable ready_at : int }
+type flit = {
+  packet : Packet.t;
+  idx : int;  (** 0-based flit index; [idx = size_flits - 1] is the tail *)
+  mutable hop : int;
+      (** index into [packet.route] of the router currently holding (or
+          about to receive) the flit *)
+  path : voq array;
+      (** the VOQ the flit occupies at each hop of its route, resolved once
+          per route: [path.(hop)] is the queue it arrives in, and
+          [path.(hop + 1)] holds the credit counter its next send needs *)
+}
+
+and entry = { flit : flit; mutable ready_at : int }
 (** A buffered flit; [ready_at] is the first cycle the switch may move it
     (models the router's internal pipeline latency). *)
 
-type voq = {
+and voq = {
   input : in_key;
   output : out_key;
+  port : int;  (** index of the [output] port in the router's [outputs] *)
   q : entry Queue.t;  (** bounded by the engine at [fifo_depth] *)
   credits : Credit.t;
       (** the credit counter the {e upstream} sender of [input] consults
@@ -56,8 +61,9 @@ type port = {
       (** link serialization: the earliest cycle a new flit may start
           crossing the link (a flit occupies it for [phits_per_flit]
           cycles) *)
-  mutable in_flight : (flit * int) option;
-      (** the flit currently on the wire and its arrival cycle *)
+  mutable in_flight : (entry * int) option;
+      (** the flit currently on the wire, in the buffer entry it re-enters
+          the downstream queue with, and its arrival cycle *)
 }
 
 type t = {
@@ -73,9 +79,6 @@ val create : node:int -> preds:int list -> succs:int list -> depth:int -> t
     per element of [Eject :: succs]; every (input, output) pair gets a VOQ
     of capacity [depth] and a matching credit counter. *)
 
-val port : t -> out_key -> port
-(** @raise Not_found if the router has no such output. *)
-
 val find_voq : t -> input:in_key -> output:out_key -> voq
 (** @raise Not_found if the router has no such queue. *)
 
@@ -84,8 +87,3 @@ val arbitrate : port -> (voq -> bool) -> voq option
     the last grant and returns the first queue [eligible] accepts,
     advancing the pointer past it (pointer moves only on a grant, so
     un-granted requests keep their priority). *)
-
-val buffered : t -> int
-(** Flits currently in this router's VOQs (NI queue excluded). *)
-
-val ni_buffered : t -> int

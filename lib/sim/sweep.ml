@@ -3,7 +3,9 @@ module D = Noc_graph.Digraph
 type point = {
   rate : float;
   offered : float;
+  injected : int;
   delivered : int;
+  stranded : int;
   avg_latency : float;
   throughput : float;
 }
@@ -15,21 +17,27 @@ let latency_vs_load ?(engine = Engine.Coarse) ~rng ~arch ~acg ?(size_flits = 2)
     (fun rate ->
       let rng = Noc_util.Prng.split rng in
       let net = Engine.create engine arch in
+      let injected = ref 0 in
       for _ = 1 to cycles do
         List.iter
           (fun (src, dst) ->
-            if Noc_util.Prng.bernoulli rng rate then
-              ignore (Engine.inject ~size_flits net ~src ~dst))
+            if Noc_util.Prng.bernoulli rng rate then begin
+              ignore (Engine.inject ~size_flits net ~src ~dst);
+              incr injected
+            end)
           edges;
         Engine.step net
       done;
-      (match Engine.run_until_idle ~max_cycles:200_000 net with
-      | Engine.Idle | Engine.Deadlock | Engine.Limit _ -> ());
+      (* whatever the verdict, the packets a stopped drain leaves behind
+         are the stranded ones *)
+      ignore (Engine.run_until_idle ~max_cycles:200_000 net);
       let s = Engine.summary net in
       {
         rate;
         offered = rate *. float_of_int (List.length edges);
+        injected = !injected;
         delivered = s.Stats.packets;
+        stranded = Engine.pending net;
         avg_latency = s.Stats.avg_latency;
         throughput = s.Stats.throughput;
       })
@@ -39,14 +47,16 @@ let saturation_rate points =
   (* the latency baseline must come from a point that actually delivered
      packets: a leading zero-delivery point reports avg_latency = 0., and a
      fabricated base of 1.0 yields false (or missed) saturation knees *)
-  match List.find_opt (fun p -> p.delivered > 0) points with
-  | None -> None
-  | Some first ->
-      let base = if first.avg_latency > 0. then first.avg_latency else 1.0 in
-      List.find_map
-        (fun p ->
-          if p.delivered > 0 && p.avg_latency > 4.0 *. base then Some p.rate
-          else None)
-        points
+  let base =
+    Option.map
+      (fun first -> if first.avg_latency > 0. then first.avg_latency else 1.0)
+      (List.find_opt (fun p -> p.delivered > 0) points)
+  in
+  let knee p =
+    match base with Some b -> p.delivered > 0 && p.avg_latency > 4.0 *. b | None -> false
+  in
+  (* a fabric that strands packets (deadlock or drain bound) is saturated
+     whatever the latency of the few packets it did deliver *)
+  List.find_map (fun p -> if p.stranded > 0 || knee p then Some p.rate else None) points
 
 let to_series points = List.map (fun p -> (p.offered, p.avg_latency)) points

@@ -8,7 +8,11 @@
 type point = {
   rate : float;  (** offered injection rate per flow (packets/cycle) *)
   offered : float;  (** total offered load (packets/cycle, all flows) *)
+  injected : int;  (** packets offered during the injection window *)
   delivered : int;
+  stranded : int;
+      (** packets still in the network when the drain stopped: non-zero
+          when the run deadlocked or hit the drain bound *)
   avg_latency : float;
   throughput : float;  (** delivered flits per cycle over the makespan *)
 }
@@ -28,16 +32,16 @@ val latency_vs_load :
     directly).  [cycles] (default 2000) of injection, then a bounded drain.
     Deterministic: the PRNG is split per rate.  [engine] (default
     {!Engine.Coarse} for speed) picks the simulation fidelity; a
-    saturated high-fidelity run that deadlocks or hits the drain bound
-    simply reports the packets it delivered, which is the regime the knee
-    detector looks for anyway. *)
+    high-fidelity run that deadlocks or hits the drain bound reports the
+    packets it could not deliver in [stranded], and its latency covers
+    only the packets it did deliver. *)
 
 val saturation_rate : point list -> float option
-(** First rate at which average latency exceeds 4x the baseline latency — a
-    simple knee estimate.  The baseline is the first point that actually
-    delivered packets (a leading zero-delivery point reports
-    [avg_latency = 0.] and must not fabricate a baseline); [None] if no
-    point delivered or the curve never saturates. *)
+(** First rate that stranded packets or at which average latency exceeds
+    4x the baseline latency — a simple knee estimate.  The baseline is the
+    first point that actually delivered packets (a leading zero-delivery
+    point reports [avg_latency = 0.] and must not fabricate a baseline);
+    [None] if no point stranded packets and the curve never saturates. *)
 
 val to_series : point list -> (float * float) list
 (** (offered load, average latency) pairs for plotting. *)

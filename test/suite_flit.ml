@@ -315,6 +315,221 @@ let qcheck_deeper_fifos_monotone =
           packets deep shallow;
       true)
 
+(* ---------------------------------------------------------------- *)
+(* Flit accounting invariants                                       *)
+
+let sum_bindings fold m = fold (fun _ n acc -> acc + n) m 0
+
+let test_flit_accounting_line () =
+  let f = Flit.create (line_arch 3) in
+  ignore (Flit.inject ~size_flits:4 f ~src:0 ~dst:3);
+  ignore (Flit.inject ~size_flits:2 f ~src:0 ~dst:3);
+  ignore (Flit.run_until_idle f);
+  Alcotest.(check (list (pair (pair int int) int)))
+    "per-link flits"
+    [ ((0, 1), 6); ((1, 2), 6); ((2, 3), 6) ]
+    (Edge_map.bindings (Flit.link_flits f));
+  (* routers 0..2 switch each flit onto a link, router 3 into its sink *)
+  Alcotest.(check (list (pair int int)))
+    "per-router flits"
+    [ (0, 6); (1, 6); (2, 6); (3, 6) ]
+    (D.Vmap.bindings (Flit.switch_flits f))
+
+let qcheck_flit_accounting =
+  QCheck.Test.make ~name:"flit link/switch counters sum to hops and deliveries" ~count:200
+    QCheck.(int_range 0 800)
+    (fun k ->
+      let seed = 70_000 + k in
+      let acg, arch = random_case seed in
+      let net, verdict = burst Engine.Flit acg arch in
+      (match (verdict, Engine.flitsim net) with
+      | Engine.Idle, Some f ->
+          let links = sum_bindings Edge_map.fold (Flit.link_flits f)
+          and switches = sum_bindings D.Vmap.fold (Flit.switch_flits f) in
+          if links <> Flit.flit_hops f then
+            QCheck.Test.fail_reportf "seed %d: sum link_flits %d <> flit_hops %d" seed links
+              (Flit.flit_hops f);
+          if switches <> Flit.flit_hops f + Flit.delivered_flits f then
+            QCheck.Test.fail_reportf "seed %d: sum switch_flits %d <> hops %d + delivered %d"
+              seed switches (Flit.flit_hops f) (Flit.delivered_flits f)
+      | _ -> ());
+      true)
+
+(* ---------------------------------------------------------------- *)
+(* Cycle-exact golden digests                                       *)
+
+(* The unidirectional ring 1 -> 2 -> 3 -> 4 -> 1 with the four clockwise
+   3-hop flows: a cyclic channel dependency graph, so a flit burst
+   deadlocks the fabric. *)
+let ring_flows = [ (1, [ 1; 2; 3; 4 ]); (2, [ 2; 3; 4; 1 ]); (3, [ 3; 4; 1; 2 ]); (4, [ 4; 1; 2; 3 ]) ]
+
+let ring_arch () =
+  let routes =
+    List.fold_left
+      (fun m (src, path) -> Edge_map.add (src, List.nth path 3) path m)
+      Edge_map.empty ring_flows
+  in
+  Syn.make ~topology:(G.loop 4) ~routes ()
+
+let ring_acg () =
+  Acg.uniform ~volume:16 ~bandwidth:0.1
+    (List.fold_left
+       (fun g (src, path) -> D.add_edge g src (List.nth path 3))
+       D.empty ring_flows)
+
+(* Everything a run observes, in order: the verdict and final cycle, each
+   delivery with its cycle, the hop and buffer integrals, and the
+   per-link and per-router counters.  [per_cycle] flows are injected per
+   cycle, cycling six times through the flow list with packets of 1-3
+   flits, so arrivals, credit returns and NI pushes interleave. *)
+let golden_trace arch flows ~per_cycle =
+  let f = Flit.create arch in
+  let b = Buffer.create 4096 in
+  List.iteri
+    (fun i (src, dst) ->
+      ignore (Flit.inject ~size_flits:(1 + (i mod 3)) f ~src ~dst);
+      if (i + 1) mod per_cycle = 0 then Flit.step f)
+    (List.concat (List.init 6 (fun _ -> flows)));
+  (match Flit.run_until_idle ~max_cycles:20_000 f with
+  | `Idle -> Buffer.add_string b "idle"
+  | `Deadlock -> Buffer.add_string b "deadlock"
+  | `Limit n -> Printf.bprintf b "limit %d" n);
+  Printf.bprintf b " now=%d\n" (Flit.now f);
+  List.iter
+    (fun d -> Printf.bprintf b "%d@%d;" d.Flit.packet.Packet.id d.Flit.delivered_at)
+    (Flit.deliveries f);
+  Printf.bprintf b "\nhops=%d buf=%d\n" (Flit.flit_hops f) (Flit.buffer_flit_cycles f);
+  Edge_map.iter (fun (u, v) n -> Printf.bprintf b "%d>%d=%d;" u v n) (Flit.link_flits f);
+  Buffer.add_char b '\n';
+  D.Vmap.iter (fun v n -> Printf.bprintf b "%d=%d;" v n) (Flit.switch_flits f);
+  Buffer.contents b
+
+let golden_digest arch acg =
+  let flows = D.edges (Acg.graph acg) in
+  Digest.to_hex
+    (Digest.string (golden_trace arch flows ~per_cycle:1 ^ golden_trace arch flows ~per_cycle:4))
+
+let golden_cases () =
+  let fuzz =
+    List.init 40 (fun k ->
+        let acg, arch = random_case (60_000 + k) in
+        (Printf.sprintf "fuzz-%d" (60_000 + k), arch, acg))
+  in
+  let corpus =
+    List.map
+      (fun (s : Noc_benchkit.Corpus.scenario) ->
+        let d, _ =
+          Bb.decompose ~budget:Bb.Budget.(default |> with_max_nodes 2_000) ~library:(lib ())
+            s.acg
+        in
+        (s.name, Syn.custom s.acg d, s.acg))
+      (Noc_benchkit.Corpus.default ())
+  in
+  fuzz @ corpus @ [ ("ring-deadlock", ring_arch (), ring_acg ()) ]
+
+(* Recorded from the flit engine before its data path was rewritten; a
+   semantic change to the engine must regenerate them deliberately (the
+   failure message prints the replacement row). *)
+let golden_table =
+  [
+    ("fuzz-60000", "114e56e640b694988037085839af53df");
+    ("fuzz-60001", "f9b30714f3f3e7253bd083765c4380d3");
+    ("fuzz-60002", "d73911e4fbf6b8ff625a255711a71bac");
+    ("fuzz-60003", "28065edd7860badc274cb3815a94876a");
+    ("fuzz-60004", "1049c686d046557d401eb22bc1a11421");
+    ("fuzz-60005", "5841a56634f6387e66071d8f9c78536f");
+    ("fuzz-60006", "61ed09a7134338313f1b06b8b0089af2");
+    ("fuzz-60007", "a01d7a734a8a41c840780a3bc174ecdc");
+    ("fuzz-60008", "1c8681f29c56412e5dc0075a04573533");
+    ("fuzz-60009", "00094f559725c3ffc778399a1bf17a06");
+    ("fuzz-60010", "0c24a4a6cbc5e8063361d8efe23a558c");
+    ("fuzz-60011", "b7e674e18e5e6ccc5af55594a3016406");
+    ("fuzz-60012", "53e61085e74ad30a124f94887c3a381e");
+    ("fuzz-60013", "74c385e60cbbe9763fa3c1c1ac8c4670");
+    ("fuzz-60014", "7a891c25e9eac5ab213839c59ddc1388");
+    ("fuzz-60015", "9778c838baa09f06537d3547acace1b3");
+    ("fuzz-60016", "59b40ce0d12d2df7221493ef434c958f");
+    ("fuzz-60017", "bce3dce2465564f1932e067e9481655c");
+    ("fuzz-60018", "cc3e9ccfb4490b0b661dc1b64eda5b3a");
+    ("fuzz-60019", "833a090bf58befc4d8d2391ea01896d7");
+    ("fuzz-60020", "1e001320286cb42764b20b7ca1536802");
+    ("fuzz-60021", "309fa6699d300a50ce7dac79aedcc46a");
+    ("fuzz-60022", "f7040e433289e52a899b6d9f865763c0");
+    ("fuzz-60023", "a517101a10b30b77c7c6f4a2acb80830");
+    ("fuzz-60024", "a870e158d2221cae851e55ee394272db");
+    ("fuzz-60025", "fb6ab4ba9d5149942d70f1dcae0cee27");
+    ("fuzz-60026", "4697df617ac5c86bf48bb59fc44c355c");
+    ("fuzz-60027", "098d561bfaa94f8d0d14312a34ba510b");
+    ("fuzz-60028", "4e4afde309647f9a33e497ddb01115b1");
+    ("fuzz-60029", "01134fe6c4e8c75d0bac3d877e4050dc");
+    ("fuzz-60030", "cb0ea884e15a84fcfb6d7b5fdc605354");
+    ("fuzz-60031", "ce02c91caf2a5419a846ab1dbaf6c54a");
+    ("fuzz-60032", "0d384802e482d81791481cec3c8859d9");
+    ("fuzz-60033", "cfc4c7d6ece939c18289c94b7a6b1074");
+    ("fuzz-60034", "402101ea5695462b23392d223e299f65");
+    ("fuzz-60035", "4b4ec52380d750af86bf75d4186cfef8");
+    ("fuzz-60036", "b40c2ccbdd69f32b43ec6494a7d4e9a4");
+    ("fuzz-60037", "261b9b53decf7cd1893cce681c9ef620");
+    ("fuzz-60038", "102861eb2039a7c6e0c46f39878efb3b");
+    ("fuzz-60039", "67e04e8dd2153b8e5a590d11e7ce076a");
+    ("fig2", "68d848b032909c915427f485a5ce6865");
+    ("fig5", "ee79941e47c5db71abf672adbb8e495e");
+    ("aes", "cf7409cd7c34087d56bd3ec67644e884");
+    ("vopd", "794deb6c63fbb2d0aef89f08df0e9956");
+    ("mpeg4", "673ad0830a2fb6ce95cc3dd1e861d0da");
+    ("fft16", "db1781b65481df49850ccd107ad41722");
+    ("tgff-automotive-s11", "074f2f5ed586dab9a8809cdc5483e4fc");
+    ("tgff-telecom-s7", "3c9c7c1a7c36a5c99de29053158b7449");
+    ("tgff-12-s3", "dfac30684075d0ff00c7537bf4891447");
+    ("tgff-16-s5", "3f4a60f249cf36786028506a14d7f0d2");
+    ("rand-12-s1", "3004d7a144196a350d46766432b17424");
+    ("rand-16-s2", "e28468cf0a330427c4b11066b0665653");
+    ("ring-deadlock", "01f88b9fe38eae02183a1f13e3ee7bd3");
+  ]
+
+let test_flit_golden () =
+  let cases = golden_cases () in
+  let differing =
+    List.filter_map
+      (fun (name, arch, acg) ->
+        let actual = golden_digest arch acg in
+        if List.assoc_opt name golden_table = Some actual then None
+        else Some (Printf.sprintf "(%S, %S);" name actual))
+      cases
+  in
+  if differing <> [] then
+    Alcotest.failf "golden digests differ:\n%s" (String.concat "\n" differing);
+  Alcotest.(check int) "golden table covers every case" (List.length cases)
+    (List.length golden_table)
+
+(* the golden table's cyclic-CDG case really does deadlock *)
+let test_ring_deadlocks () =
+  let arch = ring_arch () in
+  Alcotest.(check bool) "ring CDG is cyclic" false (Dead.is_deadlock_free arch);
+  let trace = golden_trace arch (D.edges (Acg.graph (ring_acg ()))) ~per_cycle:4 in
+  Alcotest.(check bool) "heavy golden burst deadlocks" true
+    (String.starts_with ~prefix:"deadlock" trace)
+
+(* Regression: the sweep used to drop the drain verdict, so a deadlocked
+   point reported the latency of its few delivered packets and the knee
+   detector read the ring as never saturating. *)
+let test_sweep_reports_deadlock () =
+  let points =
+    Noc_sim.Sweep.latency_vs_load ~engine:Engine.Flit ~rng:(Prng.create ~seed:5)
+      ~arch:(ring_arch ()) ~acg:(ring_acg ()) ~cycles:1000
+      ~rates:[ 0.01; 0.05; 0.1; 0.3; 0.6 ] ()
+  in
+  List.iter
+    (fun (p : Noc_sim.Sweep.point) ->
+      Alcotest.(check int)
+        (Printf.sprintf "rate %.2f: injected = delivered + stranded" p.rate)
+        p.injected (p.delivered + p.stranded))
+    points;
+  Alcotest.(check int) "the lightest load drains" 0 (List.hd points).Noc_sim.Sweep.stranded;
+  Alcotest.(check (option (float 1e-9)))
+    "saturated at the first rate that strands packets" (Some 0.05)
+    (Noc_sim.Sweep.saturation_rate points)
+
 let suite =
   ( "flit",
     [
@@ -331,4 +546,11 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_engines_agree;
       QCheck_alcotest.to_alcotest qcheck_conservation_every_cycle;
       QCheck_alcotest.to_alcotest qcheck_deeper_fifos_monotone;
+      Alcotest.test_case "flit: per-link and per-router counters" `Quick
+        test_flit_accounting_line;
+      QCheck_alcotest.to_alcotest qcheck_flit_accounting;
+      Alcotest.test_case "flit: ring burst deadlocks" `Quick test_ring_deadlocks;
+      Alcotest.test_case "sweep: deadlocked points are stranded (regression)" `Quick
+        test_sweep_reports_deadlock;
+      Alcotest.test_case "flit: cycle-exact golden digests" `Quick test_flit_golden;
     ] )

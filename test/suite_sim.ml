@@ -360,7 +360,9 @@ let test_saturation_detection () =
     {
       Sweep.rate;
       offered = rate;
+      injected = 10;
       delivered = 10;
+      stranded = 0;
       avg_latency = lat;
       throughput = 0.1;
     }
@@ -369,6 +371,8 @@ let test_saturation_detection () =
     (Sweep.saturation_rate [ mk 0.1 5.0; mk 0.2 8.0; mk 0.3 25.0 ]);
   Alcotest.(check (option (float 1e-9))) "no knee" None
     (Sweep.saturation_rate [ mk 0.1 5.0; mk 0.2 6.0 ]);
+  Alcotest.(check (option (float 1e-9))) "stranded packets saturate" (Some 0.2)
+    (Sweep.saturation_rate [ mk 0.1 5.0; { (mk 0.2 6.0) with stranded = 4 }; mk 0.3 25.0 ]);
   Alcotest.(check (option (float 1e-9))) "empty" None (Sweep.saturation_rate [])
 
 let test_saturation_skips_zero_delivery_baseline () =
@@ -377,7 +381,15 @@ let test_saturation_skips_zero_delivery_baseline () =
      declared the first real point (latency 5 > 4) saturated.  The baseline
      must instead come from the first point that actually delivered. *)
   let mk ?(delivered = 10) rate lat =
-    { Sweep.rate; offered = rate; delivered; avg_latency = lat; throughput = 0.1 }
+    {
+      Sweep.rate;
+      offered = rate;
+      injected = delivered;
+      delivered;
+      stranded = 0;
+      avg_latency = lat;
+      throughput = 0.1;
+    }
   in
   let pts =
     [ mk ~delivered:0 0.05 0.0; mk 0.1 5.0; mk 0.2 8.0; mk 0.3 30.0 ]
