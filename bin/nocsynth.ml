@@ -40,6 +40,22 @@ let load_acg file =
       Logs.err (fun k -> k "%s" m);
       exit 2
 
+(* the corpus scenarios named on the command line (all of them when none
+   is); an unknown name exits 2 *)
+let pick_scenarios names =
+  let corpus = Noc_benchkit.Corpus.default () in
+  match names with
+  | [] -> corpus
+  | names ->
+      List.map
+        (fun n ->
+          match Noc_benchkit.Corpus.find n corpus with
+          | Some s -> s
+          | None ->
+              Logs.err (fun k -> k "unknown scenario %S" n);
+              exit 2)
+        names
+
 (* ------------------------------------------------------------------ *)
 (* shared arguments                                                     *)
 
@@ -122,10 +138,6 @@ let tech_arg =
     value & opt string "cmos-180nm"
     & info [ "tech" ] ~docv:"NODE" ~doc:"Technology preset (cmos-180nm, cmos-130nm, cmos-100nm).")
 
-let grid_floorplan acg =
-  let n = Acg.num_cores acg in
-  Fp.grid (Fp.uniform_cores ~n ~size_mm:2.0)
-
 let resolve_tech name =
   match Tech.find name with
   | Some t -> t
@@ -155,7 +167,9 @@ let search_term =
     let cost_fn =
       match cost with
       | `Edge -> Noc_core.Cost.Edge_count
-      | `Energy -> Noc_core.Cost.Energy { tech = resolve_tech tech; fp = grid_floorplan acg }
+      | `Energy ->
+          let fp = Fp.of_ids (D.vertex_list (Acg.graph acg)) in
+          Noc_core.Cost.Energy { tech = resolve_tech tech; fp }
     in
     let options =
       {
@@ -301,7 +315,7 @@ let synth_cmd =
     let d, stats = Bb.decompose ~options ~budget ~observe ~library acg in
     warn_anytime stats;
     let tech' = resolve_tech tech in
-    let fp = grid_floorplan acg in
+    let fp = Fp.of_ids (D.vertex_list (Acg.graph acg)) in
     let constraints =
       if check then Some (Noc_core.Constraints.of_technology tech') else None
     in
@@ -388,20 +402,7 @@ let simulate_cmd =
      engine — the @flit-smoke CI gate runs exactly this with --engine flit *)
   let run_corpus ~engine ~library ~size_flits ~metrics scenarios =
     let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
-    let corpus = Noc_benchkit.Corpus.default () in
-    let picked =
-      match scenarios with
-      | [] -> corpus
-      | names ->
-          List.map
-            (fun n ->
-              match Noc_benchkit.Corpus.find n corpus with
-              | Some s -> s
-              | None ->
-                  Logs.err (fun k -> k "unknown scenario %S" n);
-                  exit 2)
-            names
-    in
+    let picked = pick_scenarios scenarios in
     say
       (Printf.sprintf "%-22s %-8s %-8s %8s %8s %10s %6s" "scenario" "engine" "status"
          "cycles" "packets" "avg lat" "cons");
@@ -455,15 +456,16 @@ let simulate_cmd =
     match (file, scenarios) with
     | None, _ | _, _ :: _ -> run_corpus ~engine ~library ~size_flits ~metrics scenarios
     | Some file, [] ->
-        let acg = load_acg file in
+        (* the mesh numbers its tiles 1..rows*cols, so simulate the dense view;
+           no printed figure names a core *)
+        let acg = fst (Acg.dense (load_acg file)) in
         let observe = make_observer ~trace ~metrics in
         let d, _ = Bb.decompose ~observe ~library acg in
         let tech' = resolve_tech tech in
         (* the floorplan must place every mesh tile: routes may pass through
            tiles that host no core *)
         let fp =
-          Fp.grid ~cols
-            (Fp.uniform_cores ~n:(max (Acg.num_cores acg) (rows * cols)) ~size_mm:2.0)
+          Fp.of_ids ~cols (List.init (max (Acg.num_cores acg) (rows * cols)) (fun i -> i + 1))
         in
         let mk_policy () =
           match policy with
@@ -575,7 +577,7 @@ let codesign_cmd =
     let acg = load_acg file in
     let library = resolve_library lib in
     let tech' = resolve_tech tech in
-    let fp = grid_floorplan acg in
+    let fp = Fp.of_ids (D.vertex_list (Acg.graph acg)) in
     let rng = Noc_util.Prng.create ~seed in
     let r = Noc_core.Co_design.optimize ~rounds ~rng ~tech:tech' ~library ~fp acg in
     List.iter
@@ -604,7 +606,7 @@ let aes_cmd =
     let d, _ = Bb.decompose ~library acg in
     Format.printf "%a@." (Decomp.pp_with_cost Noc_core.Cost.Edge_count acg) d;
     let tech' = resolve_tech tech in
-    let fp = grid_floorplan acg in
+    let fp = Fp.of_ids (D.vertex_list (Acg.graph acg)) in
     let key = Noc_aes.Aes_core.of_hex "000102030405060708090a0b0c0d0e0f" in
     let pt = Noc_aes.Aes_core.of_hex "00112233445566778899aabbccddeeff" in
     let config = { Noc_sim.Network.default_config with router_delay = 3 } in
@@ -791,20 +793,7 @@ let faults_cmd =
     let library = resolve_library lib in
     let observe = make_observer ~trace ~metrics in
     let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
-    let corpus = Noc_benchkit.Corpus.default () in
-    let picked =
-      match scenarios with
-      | [] -> corpus
-      | names ->
-          List.map
-            (fun n ->
-              match Noc_benchkit.Corpus.find n corpus with
-              | Some s -> s
-              | None ->
-                  Logs.err (fun k -> k "unknown scenario %S" n);
-                  exit 2)
-            names
-    in
+    let picked = pick_scenarios scenarios in
     let spec =
       match campaign with
       | `Single -> Campaign.Single_link
@@ -821,7 +810,8 @@ let faults_cmd =
           let arch = Syn.custom acg d in
           let arch, spares =
             if harden then begin
-              let tech = Tech.cmos_180nm and fp = grid_floorplan acg in
+              let tech = Tech.cmos_180nm in
+              let fp = Fp.of_ids (D.vertex_list (Acg.graph acg)) in
               let arch', spares = Syn.harden ~tech ~fp arch in
               List.iter
                 (fun (a, b) ->
@@ -1077,20 +1067,7 @@ let explore_cmd =
     let library = resolve_library lib in
     let observe = make_observer ~trace ~metrics in
     let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
-    let corpus = Noc_benchkit.Corpus.default () in
-    let picked =
-      match scenarios with
-      | [] -> corpus
-      | names ->
-          List.map
-            (fun n ->
-              match Noc_benchkit.Corpus.find n corpus with
-              | Some s -> s
-              | None ->
-                  Logs.err (fun k -> k "unknown scenario %S" n);
-                  exit 2)
-            names
-    in
+    let picked = pick_scenarios scenarios in
     say
       (Printf.sprintf "%-22s %6s %7s %6s %14s" "scenario" "space" "points" "front"
          "hypervolume");

@@ -169,13 +169,6 @@ val run :
   Corpus.scenario ->
   result
 
-val run_corpus :
-  ?observe:Noc_obs.Obs.t ->
-  ?library:Noc_primitives.Library.t ->
-  settings:settings ->
-  Corpus.scenario list ->
-  result list
-
 val engine_row : result -> string -> engine_sample option
 (** The burst row of the named engine, if that fidelity ran. *)
 

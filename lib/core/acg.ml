@@ -77,6 +77,15 @@ let map_vertices f t =
   in
   { graph = D.map_vertices f t.graph; volume = remap t.volume; bandwidth = remap t.bandwidth }
 
+let dense t =
+  let vs = D.vertices t.graph in
+  let mapping, n =
+    D.Vset.fold (fun v (m, k) -> (D.Vmap.add v (k + 1) m, k + 1)) vs (D.Vmap.empty, 0)
+  in
+  (* distinct ids with min 1 and max n are exactly 1..n *)
+  if n = 0 || (D.Vset.min_elt vs = 1 && D.Vset.max_elt vs = n) then (t, mapping)
+  else (map_vertices (fun v -> D.Vmap.find v mapping) t, mapping)
+
 (* ------------------------------------------------------------------ *)
 (* Canonicalization: an isomorphism-invariant fingerprint (and relabeling)
    built on the CSR canonical-labeling kernel.  Edge labels fed to the

@@ -51,6 +51,12 @@ val map_vertices : (int -> int) -> t -> t
 (** [map_vertices f t] relabels every core by [f] (which must be injective
     on the cores of [t]), carrying volumes and bandwidths along. *)
 
+val dense : t -> t * int Noc_graph.Digraph.Vmap.t
+(** [dense t] is [(t', mapping)]: [t] relabeled onto cores [1..n] in
+    ascending original order (the [i]-th smallest id becomes [i], as in
+    {!canonical_form}), and [mapping] from each original core to its dense
+    id.  When the ids already are [1..n], [t'] is [t] itself. *)
+
 (** {1 Canonicalization}
 
     An isomorphism-invariant fingerprint over the CSR canonical-labeling

@@ -1,7 +1,9 @@
 (** Plain-text serialization of ACGs for the command-line tools.
 
     Format: one directed edge per line, [src dst volume bandwidth]
-    (vertex ids and volume are integers, bandwidth a float); blank lines
+    (vertex ids and volume are integers, bandwidth a float).  Core ids are
+    labels: any distinct non-negative integers, placed on the grid
+    floorplan in ascending order ({!Noc_energy.Floorplan.of_ids}); blank lines
     and lines starting with [#] are ignored.  Isolated vertices can be
     declared with [vertex <id>].  Self-loops and duplicate edges are
     rejected (an ACG edge is a flow between two distinct cores, and the

@@ -105,6 +105,16 @@ let mesh ~rows ~cols acg =
      4 directions + local port *)
   { topology; routes; uniform_router_ports = Some 5 }
 
+let map_vertices f t =
+  {
+    t with
+    topology = D.map_vertices f t.topology;
+    routes =
+      Edge_map.fold
+        (fun (u, v) path acc -> Edge_map.add (f u, f v) (List.map f path) acc)
+        t.routes Edge_map.empty;
+  }
+
 let link_count t = D.undirected_edge_count t.topology
 
 let route t ~src ~dst = Edge_map.find_opt (src, dst) t.routes

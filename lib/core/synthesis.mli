@@ -48,6 +48,10 @@ val mesh : rows:int -> cols:int -> Acg.t -> t
 val custom : Acg.t -> Decomposition.t -> t
 (** Alias of {!of_decomposition}. *)
 
+val map_vertices : (int -> int) -> t -> t
+(** Relabels every router, link and route hop by [f] (injective on the
+    topology's vertices), as {!Acg.map_vertices} does for the ACG. *)
+
 val link_count : t -> int
 (** Physical (bidirectional) links. *)
 

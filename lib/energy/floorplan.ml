@@ -45,6 +45,12 @@ let grid ?cols core_list =
     { core_list; pos }
   end
 
+let of_ids ?cols ids =
+  grid ?cols
+    (List.map
+       (fun id -> { id; width_mm = 2.0; height_mm = 2.0 })
+       (List.sort_uniq Int.compare ids))
+
 let distance_mm fp a b =
   let xa, ya = position fp a and xb, yb = position fp b in
   abs_float (xa -. xb) +. abs_float (ya -. yb)
@@ -116,11 +122,3 @@ let anneal ~rng ?(iterations = 2000) ?(t_start = 1.0) ?(t_end = 0.01) ~weights f
     done;
     { fp with pos = !best }
   end
-
-let pp ppf fp =
-  List.iter
-    (fun c ->
-      let x, y = position fp c.id in
-      Format.fprintf ppf "core %d @ (%.2f, %.2f) [%.2fx%.2f mm]@." c.id x y c.width_mm
-        c.height_mm)
-    fp.core_list

@@ -29,6 +29,13 @@ val grid : ?cols:int -> core list -> t
     pitch is the maximum core dimension; [cols] defaults to
     ⌈sqrt n⌉. *)
 
+val of_ids : ?cols:int -> int list -> t
+(** The one id-to-site convention: 2 mm square cores with the given
+    (distinct) ids, the [i]-th smallest on grid site [i] in row-major
+    order — the dense-slot order of {!Noc_graph.Compact}.  [cols] defaults
+    to ⌈sqrt k⌉ for [k] ids.  On ids [1..n] this is
+    [grid ?cols (uniform_cores ~n ~size_mm:2.0)]. *)
+
 val distance_mm : t -> int -> int -> float
 (** Manhattan distance between two core centers. *)
 
@@ -56,5 +63,3 @@ val anneal :
 (** Simulated annealing over placement swaps minimizing {!wirelength}.
     Deterministic for a given PRNG state.  Keeps grid sites fixed (area is
     preserved); only the core-to-site assignment changes. *)
-
-val pp : Format.formatter -> t -> unit

@@ -100,24 +100,6 @@ let[@inline] deleted_d v u w =
 
 let[@inline] mem_edge_d v u w = mem_base_d v.base u w && not (deleted_d v u w)
 
-let fold_succ_d v u f acc =
-  let g = v.base in
-  let acc = ref acc in
-  for i = g.succ_off.(u) to g.succ_off.(u + 1) - 1 do
-    let w = g.succ_arr.(i) in
-    if not (deleted_d v u w) then acc := f !acc w
-  done;
-  !acc
-
-let fold_pred_d v u f acc =
-  let g = v.base in
-  let acc = ref acc in
-  for i = g.pred_off.(u) to g.pred_off.(u + 1) - 1 do
-    let w = g.pred_arr.(i) in
-    if not (deleted_d v w u) then acc := f !acc w
-  done;
-  !acc
-
 let mem_edge v a b =
   let u = index v.base a and w = index v.base b in
   u >= 0 && w >= 0 && mem_edge_d v u w

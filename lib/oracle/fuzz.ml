@@ -94,6 +94,20 @@ let gen_acg ~rng =
   in
   Acg.make ~graph:g ~volume ~bandwidth ()
 
+(* core ids are labels: the same ACG on ids that break any "ids are 1..n"
+   assumption, in the same ascending order *)
+let hostile_relabel ~rng acg =
+  let dacg, _ = Acg.dense acg in
+  let n = Acg.num_cores dacg in
+  let stride = 1_000_000_000 / max 1 n in
+  let ids =
+    match Prng.int rng 3 with
+    | 0 -> Array.init n Fun.id
+    | 1 -> Array.init n (fun k -> (k + 1) * 100_000)
+    | _ -> Array.init n (fun k -> (k * stride) + Prng.int rng stride)
+  in
+  Acg.map_vertices (fun v -> ids.(v - 1)) dacg
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
@@ -205,12 +219,6 @@ let prop_vf2 library acg =
 
 let fuzz_tech = Tech.cmos_180nm
 
-(* the grid must place every vertex id the ACG mentions, and ids need not
-   be contiguous, so size it by the maximum id (cf. Runner.grid_floorplan) *)
-let fuzz_fp acg =
-  let max_id = D.fold_vertices (fun v m -> max v m) (Acg.graph acg) 1 in
-  Fp.grid (Fp.uniform_cores ~n:max_id ~size_mm:2.0)
-
 let prop_cost library acg =
   let d, _ = Bb.decompose ~library acg in
   let edge_prod = Decomposition.cost Cost.Edge_count acg d in
@@ -218,7 +226,7 @@ let prop_cost library acg =
   if not (approx_eq edge_prod edge_oracle) then
     fail "edge-count cost: production %g, first-principles %g" edge_prod edge_oracle
   else
-    let c = Cost.Energy { tech = fuzz_tech; fp = fuzz_fp acg } in
+    let c = Cost.Energy { tech = fuzz_tech; fp = Fp.of_ids (D.vertex_list (Acg.graph acg)) } in
     let prod = Decomposition.cost c acg d in
     let oracle = Recost.decomposition_cost c acg d in
     if not (approx_eq prod oracle) then

@@ -41,6 +41,13 @@ val gen_acg : rng:Noc_util.Prng.t -> Noc_core.Acg.t
     Erdős–Rényi / DAG / planted-primitive / G(n,m), volumes in [1, 256],
     bandwidths in [0, 0.5). *)
 
+val hostile_relabel : rng:Noc_util.Prng.t -> Noc_core.Acg.t -> Noc_core.Acg.t
+(** The same ACG under a monotone relabel onto one of three id sets, drawn
+    from [rng]: [0..n-1], [100 000 · (1..n)], or random increasing ids
+    below 10⁹.  Volumes and bandwidths ride along; the [i]-th smallest id
+    stays the [i]-th smallest, so {!Noc_core.Acg.dense} maps the result
+    back onto the dense view of the input. *)
+
 val check :
   ?library:Noc_primitives.Library.t ->
   string ->

@@ -9,21 +9,13 @@ let grid_dims n =
   let rows = (n + cols - 1) / cols in
   (rows, cols)
 
-(* the grid (and the shared floorplan below) must cover every core id the
-   ACG mentions, so size by the maximum id, not the core count *)
-let max_core_id acg = D.fold_vertices (fun v m -> max v m) (Acg.graph acg) 1
-
-let mesh acg =
-  let rows, cols = grid_dims (max_core_id acg) in
-  Syn.mesh ~rows ~cols acg
-
-(* Sparse-Hamming-style topology: node (r, c) is core [r * cols + c + 1]
-   (row-major, 1-based, the same convention as [Syn.mesh]), linked to the
-   nodes at power-of-two column offsets in its row and power-of-two row
-   offsets in its column.  The grid is fully populated ([rows * cols]
-   cores), so every greedy route below only crosses existing links. *)
-let sparse_hamming acg =
-  let rows, cols = grid_dims (max_core_id acg) in
+(* Sparse-Hamming-style topology on a [rows x cols] grid: node (r, c) is
+   core [r * cols + c + 1] (row-major, 1-based, the same convention as
+   [Syn.mesh]), linked to the nodes at power-of-two column offsets in its
+   row and power-of-two row offsets in its column.  The grid is fully
+   populated ([rows * cols] cores), so every greedy route below only
+   crosses existing links. *)
+let hamming_on (rows, cols) acg =
   let node r c = (r * cols) + c + 1 in
   let edges = ref [] in
   for r = 0 to rows - 1 do
@@ -68,6 +60,19 @@ let sparse_hamming acg =
   in
   Syn.make ~topology ~routes ()
 
+(* the grids number tiles 1..rows*cols, so a core id names a tile only when
+   the ids are exactly 1..n *)
+let dense_dims what acg =
+  if fst (Acg.dense acg) != acg then
+    invalid_arg (Printf.sprintf "Backends.%s: core ids must be 1..n" what);
+  grid_dims (Acg.num_cores acg)
+
+let mesh acg =
+  let rows, cols = dense_dims "mesh" acg in
+  Syn.mesh ~rows ~cols acg
+
+let sparse_hamming acg = hamming_on (dense_dims "sparse_hamming" acg) acg
+
 let score ~tech ~fp ~name acg arch =
   {
     Proto.Response.backend = name;
@@ -79,15 +84,18 @@ let score ~tech ~fp ~name acg arch =
 
 let compare_all acg ~custom =
   let tech = Noc_energy.Technology.cmos_180nm in
-  (* mesh/Hamming routes may ride through padding cores beyond the ACG's
-     maximum id, so the shared floorplan places the whole grid *)
-  let rows, cols = grid_dims (max_core_id acg) in
-  let fp =
-    Noc_energy.Floorplan.grid ~cols
-      (Noc_energy.Floorplan.uniform_cores ~n:(rows * cols) ~size_mm:2.0)
+  (* no score depends on the ids, so score the dense view the grids need;
+     on ids 1..n that view is [acg] itself and nothing is copied *)
+  let dacg, mapping = Acg.dense acg in
+  let custom =
+    if dacg == acg then custom else Syn.map_vertices (fun v -> D.Vmap.find v mapping) custom
   in
+  (* mesh/Hamming routes may ride through padding tiles beyond core n, so
+     the shared floorplan places the whole grid *)
+  let rows, cols = grid_dims (Acg.num_cores acg) in
+  let fp = Noc_energy.Floorplan.of_ids ~cols (List.init (rows * cols) (fun i -> i + 1)) in
   [
-    score ~tech ~fp ~name:"custom" acg custom;
-    score ~tech ~fp ~name:"mesh" acg (mesh acg);
-    score ~tech ~fp ~name:"sparse_hamming" acg (sparse_hamming acg);
+    score ~tech ~fp ~name:"custom" dacg custom;
+    score ~tech ~fp ~name:"mesh" dacg (Syn.mesh ~rows ~cols dacg);
+    score ~tech ~fp ~name:"sparse_hamming" dacg (hamming_on (rows, cols) dacg);
   ]

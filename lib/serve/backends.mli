@@ -7,13 +7,11 @@
     model on the same shared grid floorplan (cores at identical positions),
     so the numbers are directly comparable. *)
 
-val grid_dims : int -> int * int
-(** [grid_dims n] is a near-square [(rows, cols)] with [rows * cols >= n]
-    and [cols = ceil (sqrt n)]. *)
-
 val mesh : Noc_core.Acg.t -> Noc_core.Synthesis.t
-(** The standard 2D-mesh baseline ({!Noc_core.Synthesis.mesh}) sized by
-    {!grid_dims} over the ACG's maximum core id, with XY routing. *)
+(** The standard 2D-mesh baseline ({!Noc_core.Synthesis.mesh}) on a
+    near-square grid of [cols = ⌈sqrt n⌉] columns, with XY routing.
+    @raise Invalid_argument unless the core ids are exactly [1..n] (see
+    {!Noc_core.Acg.dense}). *)
 
 val sparse_hamming : Noc_core.Acg.t -> Noc_core.Synthesis.t
 (** A sparse-Hamming-style regular topology on the same grid: cores are
@@ -22,17 +20,13 @@ val sparse_hamming : Noc_core.Acg.t -> Noc_core.Synthesis.t
     Hamming graph's cliques sparsify to).  Routes fix the column first,
     then the row, taking the largest power-of-two step available — a
     deterministic greedy that needs at most [log2 cols + log2 rows] hops
-    per flow. *)
-
-val score :
-  tech:Noc_energy.Technology.t ->
-  fp:Noc_energy.Floorplan.t ->
-  name:string ->
-  Noc_core.Acg.t ->
-  Noc_core.Synthesis.t ->
-  Proto.Response.backend_score
+    per flow.
+    @raise Invalid_argument unless the core ids are exactly [1..n]. *)
 
 val compare_all :
   Noc_core.Acg.t -> custom:Noc_core.Synthesis.t -> Proto.Response.backend_score list
-(** Scores [custom], the mesh and the sparse-Hamming alternative (in that
-    order) on a shared 180nm grid floorplan. *)
+(** Scores [custom] (an architecture over the ACG's cores), the mesh and
+    the sparse-Hamming alternative (in that order) on a shared 180nm grid
+    floorplan.  Any distinct non-negative ids are accepted: the ACG and
+    [custom] are scored on their {!Noc_core.Acg.dense} view, so the scores
+    of a monotone relabeling are bit-identical. *)

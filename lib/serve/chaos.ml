@@ -102,7 +102,15 @@ let run ?(seed = 42) ?(requests = 1000) ?(mix = default_mix) ?(max_inflight = 8)
     ?(observe = Obs.disabled) () =
   let rng = Prng.create ~seed in
   let injected_pool = 8 in
-  let bases = Array.init pool (fun _ -> Noc_oracle.Fuzz.gen_acg ~rng) in
+  (* every fourth base carries hostile core ids (0-based, sparse, up to
+     10^9), drawn from their own stream: ids are labels, so these must be
+     served ok like the rest *)
+  let hostile = Prng.create ~seed:(seed + 1) in
+  let bases =
+    Array.init pool (fun i ->
+        let acg = Noc_oracle.Fuzz.gen_acg ~rng in
+        if i mod 4 = 3 then Noc_oracle.Fuzz.hostile_relabel ~rng:hostile acg else acg)
+  in
   let injected_bases =
     Array.init injected_pool (fun _ -> Noc_oracle.Fuzz.gen_acg ~rng)
   in

@@ -64,7 +64,8 @@ val run :
     through a fresh daemon configured with [max_inflight] (default 8),
     [max_cores = 32], a 4 KiB request-size limit and a 2 s deadline cap.
     [pool] (default 16) well-formed base ACGs come from the seeded fuzz
-    generator; [wf_timeout_s] (default 0.25) is their search deadline.
+    generator, every fourth one relabeled onto hostile core ids
+    ({!Noc_oracle.Fuzz.hostile_relabel}); [wf_timeout_s] (default 0.25) is their search deadline.
     Deterministic for a fixed seed up to wall-clock-dependent search
     outcomes, which the checked contract does not depend on. *)
 

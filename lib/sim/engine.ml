@@ -89,6 +89,4 @@ let metrics = function
 
 let vc_truncated = function C _ | F _ -> false | W w -> Wormhole.vc_truncated w
 
-let coarse = function C n -> Some n | _ -> None
-let wormhole = function W w -> Some w | _ -> None
 let flitsim = function F f -> Some f | _ -> None

@@ -75,9 +75,6 @@ val vc_truncated : t -> bool
     to under-provisioned VCs rather than the architecture.  Always
     [false] for the other engines. *)
 
-val coarse : t -> Network.t option
-(** The underlying coarse engine, for callers that need its fault API or
-    energy accounting; [None] for the other kinds. *)
-
-val wormhole : t -> Wormhole.t option
 val flitsim : t -> Flitsim.t option
+(** The underlying flit engine, for callers that check its conservation
+    invariant; [None] for the other kinds. *)

@@ -161,6 +161,83 @@ let test_decompose_equals_oracle_500 () =
   done
 
 (* -------------------------------------------------------------------- *)
+(* Hostile core ids: ids are labels, so a monotone relabel (0-based,     *)
+(* x100 000, random up to 10^9) must change nothing but the printed ids,  *)
+(* and any injective relabel must keep the optimal cost.                  *)
+
+let hostile_budget = Bb.Budget.(default |> with_max_nodes 20_000)
+
+(* a decomposition's matchings and remainder with every core sent
+   through [f] *)
+let listing_under f (d : Decomp.t) =
+  ( List.map
+      (fun (m : Noc_core.Matching.t) ->
+        ( m.Noc_core.Matching.entry.L.id,
+          List.map (fun (k, v) -> (k, f v)) (D.Vmap.bindings m.Noc_core.Matching.mapping),
+          List.map (fun (u, v) -> (f u, f v)) m.Noc_core.Matching.covered ))
+      d.Decomp.matchings,
+    List.map (fun (u, v) -> (f u, f v)) (D.edges d.Decomp.remainder) )
+
+let search_counts (s : Bb.stats) =
+  (s.Bb.nodes, s.Bb.matches_tried, s.Bb.leaves, s.Bb.pruned, s.Bb.incumbents, s.Bb.timed_out,
+   s.Bb.best_cost, s.Bb.per_primitive)
+
+(* the Eq. 5 energy `nocsynth synth` prints, on the one id-to-site floorplan *)
+let report_energy acg (d, stats) =
+  let fp = Noc_energy.Floorplan.of_ids (D.vertex_list (Acg.graph acg)) in
+  (Noc_core.Report.build ~tech:Noc_energy.Technology.cmos_180nm ~fp ~cost:Cost.Edge_count ~acg
+     ~decomposition:d ~stats ())
+    .Noc_core.Report.energy_pj
+
+let backend_scores acg (d, _) = Noc_serve.Backends.compare_all acg ~custom:(Syn.custom acg d)
+
+let qcheck_hostile_ids =
+  QCheck.Test.make ~name:"hostile ids: monotone relabel changes nothing but the ids" ~count:200
+    QCheck.(int_range 0 800)
+    (fun k ->
+      let seed = 80_000 + k in
+      let acg = Fuzz.gen_acg ~rng:(Prng.create ~seed) in
+      let hostile = Fuzz.hostile_relabel ~rng:(Prng.create ~seed:(seed + 1)) acg in
+      let dense a =
+        let m = snd (Acg.dense a) in
+        fun v -> D.Vmap.find v m
+      in
+      let run a = Bb.decompose ~budget:hostile_budget ~library:(lib ()) a in
+      let r = run acg and rh = run hostile in
+      let bad what = QCheck.Test.fail_reportf "seed %d: %s differs under hostile ids" seed what in
+      if listing_under (dense acg) (fst r) <> listing_under (dense hostile) (fst rh) then
+        bad "decompose listing"
+      else if search_counts (snd r) <> search_counts (snd rh) then bad "search stats"
+      else if
+        Option.map Int64.bits_of_float (report_energy acg r)
+        <> Option.map Int64.bits_of_float (report_energy hostile rh)
+      then bad "Eq. 5 energy"
+      else if compare (backend_scores acg r) (backend_scores hostile rh) <> 0 then
+        bad "backend scores"
+      else
+        let daemon = Noc_serve.Daemon.create () in
+        let request = Noc_serve.Proto.Request.make ~budget:hostile_budget hostile in
+        match Noc_serve.Daemon.solve daemon request with
+        | Ok _ -> true
+        | Error e ->
+            QCheck.Test.fail_reportf "seed %d: daemon replied %s" seed
+              (Noc_serve.Proto.Error.to_string e))
+
+let qcheck_relabel_keeps_cost =
+  QCheck.Test.make ~name:"hostile ids: any injective relabel keeps the optimal cost" ~count:200
+    QCheck.(int_range 0 800)
+    (fun k ->
+      let seed = 90_000 + k in
+      let acg = Fuzz.gen_acg ~rng:(Prng.create ~seed) in
+      QCheck.assume (Acg.num_cores acg <= 8);
+      let rng = Prng.create ~seed:(seed + 1) in
+      let relabeled = Noc_serve.Replay.permute ~rng (Fuzz.hostile_relabel ~rng acg) in
+      let cost a = (snd (Bb.decompose ~library:(lib ()) a)).Bb.best_cost in
+      cost acg = cost relabeled
+      || QCheck.Test.fail_reportf "seed %d: cost %g, relabeled %g" seed (cost acg)
+           (cost relabeled))
+
+(* -------------------------------------------------------------------- *)
 (* Fuzz harness self-tests                                               *)
 
 let test_fuzz_run_clean () =
@@ -253,4 +330,6 @@ let suite =
       Alcotest.test_case "fuzz: replay of a missing dir" `Quick test_fuzz_replay_missing_dir;
       Alcotest.test_case "fuzz: unknown properties rejected" `Quick test_fuzz_unknown_property;
       Alcotest.test_case "corpus replay" `Quick test_corpus_replay;
+      QCheck_alcotest.to_alcotest qcheck_hostile_ids;
+      QCheck_alcotest.to_alcotest qcheck_relabel_keeps_cost;
     ] )

@@ -422,6 +422,32 @@ let test_chaos_gate () =
   Alcotest.(check int) "typed reply per request" stats.Chaos.requests
     stats.Chaos.replies
 
+(* Sparse core ids: canonical labeling gives up on uniform K8, so the
+   request's own ids reach the backends.  When the grid was sized by the
+   largest id, K8 x 100 000 built an 800 000-site floorplan (59 s, several
+   GB).  Each sparse copy must get an Ok reply with the dense K8's backend
+   scores, allocating at most twice the words the dense K8 does. *)
+let test_sparse_id_k8 () =
+  let k8 = Acg.uniform ~volume:64 ~bandwidth:0.1 (G.complete 8) in
+  let budget = Bb.Budget.(default |> with_max_nodes 2_000) in
+  let solve acg =
+    let words () =
+      let s = Gc.quick_stat () in
+      s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+    in
+    let w0 = words () in
+    let o = ok_exn (Daemon.solve (Daemon.create ()) (Proto.Request.make ~budget acg)) in
+    (o.Daemon.response.Proto.Response.backends, words () -. w0)
+  in
+  let dense_scores, dense_words = solve k8 in
+  List.iter
+    (fun (what, f) ->
+      let scores, words = solve (Acg.map_vertices f k8) in
+      Alcotest.(check bool) (what ^ ": backend scores") true (compare scores dense_scores = 0);
+      if words > 2.0 *. dense_words then
+        Alcotest.failf "%s: %.0f words allocated, dense K8 %.0f" what words dense_words)
+    [ ("ids x 100 000", fun v -> v * 100_000); ("ids near 10^9", fun v -> 999_999_990 + v) ]
+
 let test_replay_driver () =
   let s = Replay.run ~seed:5 ~cases:4 ~budget:short_budget () in
   Alcotest.(check int) "three requests per base" 12 s.Replay.requests;
@@ -469,4 +495,5 @@ let suite =
       Alcotest.test_case "replay driver" `Quick test_replay_driver;
       Alcotest.test_case "replay deterministic" `Quick
         test_replay_deterministic_responses;
+      Alcotest.test_case "sparse-id K8 answered, bounded allocation" `Quick test_sparse_id_k8;
     ] )
