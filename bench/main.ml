@@ -435,31 +435,18 @@ let wormhole () =
 " "arch" "switching" "cycles" "avg latency";
   List.iter
     (fun (arch_name, arch) ->
-      (* store-and-forward *)
-      let net = Noc_sim.Network.create arch in
       List.iter
-        (fun (src, dst) -> ignore (Noc_sim.Network.inject ~size_flits:4 net ~src ~dst))
-        flows;
-      (match Noc_sim.Network.run_until_idle net with
-      | `Idle -> ()
-      | `Limit _ -> failwith "hang");
-      let s = Stats.summarize (Noc_sim.Network.deliveries net) in
-      Printf.printf "%-12s %-18s %10d %12.2f
-" arch_name "store-and-forward"
-        (Noc_sim.Network.now net) s.Stats.avg_latency;
-      (* wormhole, 2 VCs *)
-      let wnet = Noc_sim.Wormhole.create arch in
-      List.iter
-        (fun (src, dst) -> ignore (Noc_sim.Wormhole.inject ~size_flits:4 wnet ~src ~dst))
-        flows;
-      (match Noc_sim.Wormhole.run_until_idle wnet with
-      | `Idle -> ()
-      | `Deadlock -> failwith "deadlock"
-      | `Limit -> failwith "hang");
-      let ws = Noc_sim.Wormhole.summary wnet in
-      Printf.printf "%-12s %-18s %10d %12.2f
-" arch_name "wormhole (2 VCs)"
-        (Noc_sim.Wormhole.now wnet) ws.Stats.avg_latency)
+        (fun (kind, switching) ->
+          let net = Noc_sim.Engine.create kind arch in
+          let b = Noc_sim.Traffic.burst ~size_flits:4 net flows in
+          if b.Noc_sim.Traffic.verdict <> Noc_sim.Engine.Idle then
+            failwith (Noc_sim.Engine.verdict_name b.Noc_sim.Traffic.verdict);
+          Printf.printf "%-12s %-18s %10d %12.2f\n" arch_name switching
+            (Noc_sim.Engine.now net) (Noc_sim.Engine.summary net).Stats.avg_latency)
+        [
+          (Noc_sim.Engine.Coarse, "store-and-forward");
+          (Noc_sim.Engine.Wormhole, "wormhole (2 VCs)");
+        ])
     [ ("mesh", mesh); ("customized", custom) ]
 
 (* ------------------------------------------------------------------ *)

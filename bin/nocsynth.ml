@@ -125,6 +125,10 @@ let metrics_flag =
     & info [ "metrics" ]
         ~doc:"Print a JSON metrics summary on stdout (human output moves to stderr).")
 
+(* human output: stdout, or stderr (through Logs) when --metrics reserves
+   stdout for the JSON *)
+let say ~metrics s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s
+
 let cost_arg =
   let cost_enum = Arg.enum [ ("edge", `Edge); ("energy", `Energy) ] in
   Arg.(
@@ -208,6 +212,14 @@ let write_trace observe = function
       Obs.Trace.write observe ~path;
       Logs.info (fun k -> k "wrote trace %s" path)
 
+let warn_vc_truncated net name =
+  if Noc_sim.Engine.vc_truncated net then
+    Logs.warn (fun k ->
+        k
+          "%s: VC assignment truncated (num_vcs too small) — a deadlock verdict here is \
+           attributable to under-provisioned VCs"
+          name)
+
 let float_metrics kvs = List.map (fun (k, v) -> (k, Obs.Json.Float v)) kvs
 
 (* ------------------------------------------------------------------ *)
@@ -280,7 +292,7 @@ let decompose_cmd =
           st.Bb.nodes st.Bb.matches_tried st.Bb.leaves st.Bb.pruned st.Bb.incumbents
           st.Bb.elapsed_s
       in
-      if metrics then Logs.app (fun k -> k "%s" line) else print_endline line
+      say ~metrics line
     end;
     write_trace observe trace;
     if metrics then
@@ -401,7 +413,7 @@ let simulate_cmd =
   (* corpus mode: every picked scenario must drain cleanly on the chosen
      engine — the @flit-smoke CI gate runs exactly this with --engine flit *)
   let run_corpus ~engine ~library ~size_flits ~metrics scenarios =
-    let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
+    let say = say ~metrics in
     let picked = pick_scenarios scenarios in
     say
       (Printf.sprintf "%-22s %-8s %-8s %8s %8s %10s %6s" "scenario" "engine" "status"
@@ -412,38 +424,19 @@ let simulate_cmd =
         let d, _ = Bb.decompose ~library s.Noc_benchkit.Corpus.acg in
         let arch = Syn.custom s.Noc_benchkit.Corpus.acg d in
         let net = Noc_sim.Engine.create engine arch in
-        let flows = ref 0 in
-        D.iter_edges
-          (fun src dst ->
-            incr flows;
-            ignore (Noc_sim.Engine.inject ~size_flits net ~src ~dst))
-          (Acg.graph s.Noc_benchkit.Corpus.acg);
-        let verdict = Noc_sim.Engine.run_until_idle net in
+        let b =
+          Noc_sim.Traffic.burst ~size_flits net (D.edges (Acg.graph s.Noc_benchkit.Corpus.acg))
+        in
+        if not b.Noc_sim.Traffic.clean then failed := true;
+        warn_vc_truncated net s.Noc_benchkit.Corpus.name;
         let summary = Noc_sim.Engine.summary net in
-        let conserved =
-          match Noc_sim.Engine.flitsim net with
-          | Some f -> Noc_sim.Flitsim.conservation_ok f
-          | None -> true
-        in
-        let ok =
-          verdict = Noc_sim.Engine.Idle
-          && summary.Noc_sim.Stats.packets = !flows
-          && conserved
-        in
-        if not ok then failed := true;
-        if Noc_sim.Engine.vc_truncated net then
-          Logs.warn (fun k ->
-              k
-                "%s: VC assignment truncated (num_vcs too small) — a deadlock verdict \
-                 here is attributable to under-provisioned VCs"
-                s.Noc_benchkit.Corpus.name);
         say
           (Printf.sprintf "%-22s %-8s %-8s %8d %8d %10.2f %6s" s.Noc_benchkit.Corpus.name
              (Noc_sim.Engine.name net)
-             (Noc_sim.Engine.verdict_name verdict)
+             (Noc_sim.Engine.verdict_name b.Noc_sim.Traffic.verdict)
              (Noc_sim.Engine.now net) summary.Noc_sim.Stats.packets
              summary.Noc_sim.Stats.avg_latency
-             (if conserved then "ok" else "BROKEN")))
+             (if Noc_sim.Engine.conserved net then "ok" else "BROKEN")))
       picked;
     if !failed then begin
       Logs.err (fun k -> k "simulate: at least one scenario failed to drain cleanly");
@@ -460,6 +453,7 @@ let simulate_cmd =
            no printed figure names a core *)
         let acg = fst (Acg.dense (load_acg file)) in
         let observe = make_observer ~trace ~metrics in
+        let say = say ~metrics in
         let d, _ = Bb.decompose ~observe ~library acg in
         let tech' = resolve_tech tech in
         (* the floorplan must place every mesh tile: routes may pass through
@@ -467,90 +461,67 @@ let simulate_cmd =
         let fp =
           Fp.of_ids ~cols (List.init (max (Acg.num_cores acg) (rows * cols)) (fun i -> i + 1))
         in
-        let mk_policy () =
-          match policy with
-          | `Fixed -> Noc_sim.Network.Fixed
-          | `Adaptive -> Noc_sim.Network.Adaptive
-          | `Oblivious -> Noc_sim.Network.Oblivious (Noc_util.Prng.create ~seed:(seed + 1))
-        in
-        let header =
-          Printf.sprintf "%-12s %8s %10s %10s %12s %10s %8s" "arch" "packets" "avg lat"
-            "thpt" "energy (pJ)" "power(mW)" "verdict"
-        in
-        if metrics then Logs.app (fun k -> k "%s" header) else print_endline header;
+        (* every engine is offered the same packets: fidelity is the only
+           variable between --engine runs *)
+        let flows = Noc_sim.Traffic.flows_of_acg ~rate_scale:rate acg in
+        say
+          (Printf.sprintf "%-12s %8s %10s %10s %12s %10s %8s" "arch" "packets" "avg lat"
+             "thpt" "energy (pJ)" "power(mW)" "verdict");
         let arch_metrics =
           List.map
             (fun (name, arch) ->
-              match engine with
-              | Noc_sim.Engine.Coarse ->
-                  (* the coarse engine keeps its richer pipeline: routing
-                     policies, contention counters and energy accounting *)
-                  let net = Noc_sim.Network.create ~policy:(mk_policy ()) arch in
-                  let rng = Noc_util.Prng.create ~seed in
-                  let flows = Noc_sim.Traffic.flows_of_acg ~rate_scale:rate acg in
-                  let ds =
-                    Obs.span observe ~cat:"sim" name (fun () ->
-                        Noc_sim.Traffic.run ~rng ~net ~flows ~cycles ())
-                  in
-                  let s = Noc_sim.Stats.summarize ds in
-                  let row =
-                    Printf.sprintf "%-12s %8d %10.2f %10.3f %12.1f %10.2f %8s" name
-                      s.Noc_sim.Stats.packets s.Noc_sim.Stats.avg_latency
-                      s.Noc_sim.Stats.throughput
-                      (Noc_sim.Stats.total_energy_pj ~tech:tech' ~fp net)
-                      (Noc_sim.Stats.avg_power_mw ~tech:tech' ~fp net)
-                      "idle"
-                  in
-                  if metrics then Logs.app (fun k -> k "%s" row) else print_endline row;
-                  (* surface the per-router/per-link activity as observer
-                     counters so they land in the trace too *)
-                  if Obs.enabled observe then
-                    List.iter
-                      (fun (key, v) ->
-                        Obs.Gauge.set (Obs.gauge observe (Printf.sprintf "%s.%s" name key)) v)
-                      (Noc_sim.Network.metrics net);
-                  ( name,
-                    Obs.Json.Obj
-                      (float_metrics
-                         (Noc_sim.Stats.summary_metrics s
-                         @ Noc_sim.Network.metrics net
-                         @ Noc_sim.Stats.energy_metrics ~tech:tech' ~fp net)) )
-              | _ ->
-                  (* higher-fidelity engines: Bernoulli traffic on the ACG
-                     flows, as in Sweep.latency_vs_load (no energy model) *)
-                  let net = Noc_sim.Engine.create engine arch in
-                  let rng = Noc_util.Prng.create ~seed in
-                  let edges = D.edges (Acg.graph acg) in
-                  let verdict =
-                    Obs.span observe ~cat:"sim" name (fun () ->
-                        for _ = 1 to cycles do
-                          List.iter
-                            (fun (src, dst) ->
-                              if Noc_util.Prng.bernoulli rng rate then
-                                ignore (Noc_sim.Engine.inject ~size_flits net ~src ~dst))
-                            edges;
-                          Noc_sim.Engine.step net
-                        done;
-                        Noc_sim.Engine.run_until_idle ~max_cycles:200_000 net)
-                  in
-                  if Noc_sim.Engine.vc_truncated net then
-                    Logs.warn (fun k ->
-                        k
-                          "%s: VC assignment truncated (num_vcs too small) — a deadlock \
-                           verdict here is attributable to under-provisioned VCs"
-                          name);
-                  let s = Noc_sim.Engine.summary net in
-                  let row =
-                    Printf.sprintf "%-12s %8d %10.2f %10.3f %12s %10s %8s" name
-                      s.Noc_sim.Stats.packets s.Noc_sim.Stats.avg_latency
-                      s.Noc_sim.Stats.throughput "-" "-"
-                      (Noc_sim.Engine.verdict_name verdict)
-                  in
-                  if metrics then Logs.app (fun k -> k "%s" row) else print_endline row;
-                  ( name,
-                    Obs.Json.Obj
-                      (float_metrics
-                         (Noc_sim.Stats.summary_metrics s @ Noc_sim.Engine.metrics net)) ))
+              (* the coarse engine keeps its richer pipeline: routing
+                 policies, contention counters and energy accounting *)
+              let coarse, net =
+                match engine with
+                | Noc_sim.Engine.Coarse ->
+                    let policy =
+                      match policy with
+                      | `Fixed -> Noc_sim.Network.Fixed
+                      | `Adaptive -> Noc_sim.Network.Adaptive
+                      | `Oblivious ->
+                          Noc_sim.Network.Oblivious (Noc_util.Prng.create ~seed:(seed + 1))
+                    in
+                    let n = Noc_sim.Network.create ~policy arch in
+                    (Some n, Noc_sim.Engine.of_network n)
+                | _ -> (None, Noc_sim.Engine.create engine arch)
+              in
+              let rng = Noc_util.Prng.create ~seed in
+              let verdict, _ =
+                Obs.span observe ~cat:"sim" name (fun () ->
+                    Noc_sim.Traffic.run ~rng ~flows ~cycles net)
+              in
+              warn_vc_truncated net name;
+              let s = Noc_sim.Engine.summary net in
+              let energy =
+                match coarse with
+                | Some n -> Noc_sim.Stats.energy_metrics ~tech:tech' ~fp n
+                | None -> []
+              in
+              let column key fmt =
+                match List.assoc_opt key energy with
+                | Some v -> Printf.sprintf fmt v
+                | None -> "-"
+              in
+              say
+                (Printf.sprintf "%-12s %8d %10.2f %10.3f %12s %10s %8s" name
+                   s.Noc_sim.Stats.packets s.Noc_sim.Stats.avg_latency
+                   s.Noc_sim.Stats.throughput
+                   (column "total_energy_pj" "%.1f")
+                   (column "avg_power_mw" "%.2f")
+                   (Noc_sim.Engine.verdict_name verdict));
+              (* surface the per-router/per-link activity as observer
+                 counters so they land in the trace too *)
+              if Obs.enabled observe then
+                List.iter
+                  (fun (key, v) ->
+                    Obs.Gauge.set (Obs.gauge observe (Printf.sprintf "%s.%s" name key)) v)
+                  (Noc_sim.Engine.metrics net);
+              ( name,
+                Obs.Json.Obj
+                  (float_metrics
+                     (Noc_sim.Stats.summary_metrics s @ Noc_sim.Engine.metrics net @ energy))
+              ))
             [ ("customized", Syn.custom acg d); ("mesh", Syn.mesh ~rows ~cols acg) ]
         in
         write_trace observe trace;
@@ -680,7 +651,7 @@ let fuzz_cmd =
   let run cases smoke seed corpus save_dir replay_only props lib trace metrics =
     let library = resolve_library lib in
     let observe = make_observer ~trace ~metrics in
-    let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
+    let say = say ~metrics in
     let corpus_n, corpus_failures = Fz.replay ~observe ~library ~dir:corpus () in
     say
       (Printf.sprintf "corpus: %d case%s replayed, %d failure%s" corpus_n
@@ -792,7 +763,7 @@ let faults_cmd =
   let run campaign links samples scenarios harden seed lib trace metrics =
     let library = resolve_library lib in
     let observe = make_observer ~trace ~metrics in
-    let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
+    let say = say ~metrics in
     let picked = pick_scenarios scenarios in
     let spec =
       match campaign with
@@ -964,7 +935,7 @@ let bench_cmd =
     let library = resolve_library lib in
     let observe = make_observer ~trace ~metrics in
     let rev = resolve_rev rev in
-    let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
+    let say = say ~metrics in
     say (Format.asprintf "%a" Noc_benchkit.Runner.pp_header ());
     let results =
       List.map
@@ -1066,7 +1037,7 @@ let explore_cmd =
     let domains = max 1 (min domains (Bb.domain_cap ())) in
     let library = resolve_library lib in
     let observe = make_observer ~trace ~metrics in
-    let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
+    let say = say ~metrics in
     let picked = pick_scenarios scenarios in
     say
       (Printf.sprintf "%-22s %6s %7s %6s %14s" "scenario" "space" "points" "front"
@@ -1233,7 +1204,7 @@ let serve_cmd =
         let stats =
           Serve.Chaos.run ~seed ~requests ~max_inflight ~cache_capacity ~observe ()
         in
-        let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
+        let say = say ~metrics in
         say (Format.asprintf "%a" Serve.Chaos.pp stats);
         if metrics then
           print_endline
@@ -1257,7 +1228,7 @@ let serve_cmd =
           Serve.Replay.run ~seed ~cases ?corpus_dir:corpus ~cache_capacity ~library
             ~budget ~observe ()
         in
-        let say s = if metrics then Logs.app (fun k -> k "%s" s) else print_endline s in
+        let say = say ~metrics in
         say (Format.asprintf "%a" Serve.Replay.pp stats);
         if metrics then
           print_endline

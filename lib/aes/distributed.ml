@@ -114,7 +114,7 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
     done;
     wait_all ();
     List.iter
-      (fun { Net.packet; delivered_at = _ } ->
+      (fun { Noc_sim.Packet.packet; delivered_at = _ } ->
         byte.(packet.Noc_sim.Packet.dst) <-
           Char.code (Bytes.get packet.Noc_sim.Packet.payload 0))
       (Net.drain_deliveries net)
@@ -147,7 +147,7 @@ let encrypt ?config ?(timing = default_timing) ?(max_cycles = 1_000_000) ~arch ~
       columns.(v) <- col
     done;
     List.iter
-      (fun { Net.packet; delivered_at = _ } ->
+      (fun { Noc_sim.Packet.packet; delivered_at = _ } ->
         let src = packet.Noc_sim.Packet.tag and dst = packet.Noc_sim.Packet.dst in
         let sr, _ = pos_of src in
         columns.(dst).(sr) <- Char.code (Bytes.get packet.Noc_sim.Packet.payload 0))

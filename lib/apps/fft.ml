@@ -117,7 +117,7 @@ let distributed ?config ?(butterfly_cycles = 2) ~arch x =
       wait_all ();
       let received = Array.make n_nodes Complex.zero in
       List.iter
-        (fun { Net.packet; delivered_at = _ } ->
+        (fun { Noc_sim.Packet.packet; delivered_at = _ } ->
           received.(packet.Noc_sim.Packet.dst - 1) <-
             complex_of_bytes packet.Noc_sim.Packet.payload)
         (Net.drain_deliveries net);

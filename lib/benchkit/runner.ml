@@ -208,16 +208,14 @@ let run ?(observe = Obs.disabled) ?(library = L.default ()) ~(settings : setting
     let kname = Noc_sim.Engine.kind_name kind in
     Obs.span observe ~cat:"bench" (s.name ^ "." ^ kname) (fun () ->
         let net = Noc_sim.Engine.create kind arch in
-        D.iter_edges
-          (fun src dst ->
-            ignore
-              (Noc_sim.Engine.inject ~size_flits:settings.wormhole_size_flits net ~src ~dst))
-          (Acg.graph acg);
-        let status = Noc_sim.Engine.verdict_name (Noc_sim.Engine.run_until_idle net) in
+        let b =
+          Noc_sim.Traffic.burst ~size_flits:settings.wormhole_size_flits net
+            (D.edges (Acg.graph acg))
+        in
         let summary = Noc_sim.Engine.summary net in
         {
           engine = kname;
-          e_status = status;
+          e_status = Noc_sim.Engine.verdict_name b.Noc_sim.Traffic.verdict;
           e_cycles = Noc_sim.Engine.now net;
           e_latency = summary.Noc_sim.Stats.avg_latency;
           e_delivered = summary.Noc_sim.Stats.packets;

@@ -51,17 +51,20 @@ let parse s =
         | (t, _) :: _ when String.length t > 0 && t.[0] = '#' -> ()
         | [ ("vertex", _); (v, vcol) ] -> (
             match int_of_string_opt v with
-            | Some v -> verts := v :: !verts
+            | Some x when x >= 0 -> verts := x :: !verts
+            | Some _ -> err lineno vcol "negative vertex id '%s'" v
             | None -> err lineno vcol "bad vertex id '%s'" v)
         | [ (u, ucol); (v, vcol); (vol, volcol); (bw, bwcol) ] ->
             let u' =
               match int_of_string_opt u with
-              | Some x -> x
+              | Some x when x >= 0 -> x
+              | Some _ -> err lineno ucol "negative source vertex '%s'" u
               | None -> err lineno ucol "bad source vertex '%s'" u
             in
             let v' =
               match int_of_string_opt v with
-              | Some x -> x
+              | Some x when x >= 0 -> x
+              | Some _ -> err lineno vcol "negative destination vertex '%s'" v
               | None -> err lineno vcol "bad destination vertex '%s'" v
             in
             let vol' =

@@ -5,8 +5,8 @@
     labels: any distinct non-negative integers, placed on the grid
     floorplan in ascending order ({!Noc_energy.Floorplan.of_ids}); blank lines
     and lines starting with [#] are ignored.  Isolated vertices can be
-    declared with [vertex <id>].  Self-loops and duplicate edges are
-    rejected (an ACG edge is a flow between two distinct cores, and the
+    declared with [vertex <id>].  Negative ids, self-loops and duplicate
+    edges are rejected (an ACG edge is a flow between two distinct cores, and the
     edge set is a set).
 
     The loaders are Result-typed: malformed input yields

@@ -50,28 +50,20 @@ type report = {
    show up here, not in the per-hop coarse model. *)
 let validate_degraded ~engine ~size_flits ~max_cycles arch faults =
   let out = Reroute.apply arch ~faults in
-  let net = Noc_sim.Engine.create engine out.Reroute.arch in
-  let flows = out.Reroute.kept @ out.Reroute.rerouted in
-  List.iter
-    (fun (src, dst) -> ignore (Noc_sim.Engine.inject ~size_flits net ~src ~dst))
-    flows;
-  let verdict = Noc_sim.Engine.run_until_idle ~max_cycles net in
-  let delivered = List.length (Noc_sim.Engine.deliveries net) in
-  let conserved =
-    match Noc_sim.Engine.flitsim net with
-    | Some f -> Noc_sim.Flitsim.conservation_ok f
-    | None -> true
+  let b =
+    Noc_sim.Traffic.burst ~max_cycles ~size_flits
+      (Noc_sim.Engine.create engine out.Reroute.arch)
+      (out.Reroute.kept @ out.Reroute.rerouted)
   in
-  (delivered, verdict = Noc_sim.Engine.Idle && delivered = List.length flows && conserved)
+  (b.Noc_sim.Traffic.delivered, b.Noc_sim.Traffic.clean)
 
 let run_one ?config ?fault_policy ?validate_engine ~size_flits ~max_cycles acg arch faults =
   let net = Net.create ?config ?fault_policy arch in
   List.iter (Fault.inject_into net) faults;
-  D.iter_edges
-    (fun src dst -> ignore (Net.inject ~size_flits net ~src ~dst))
-    (Noc_core.Acg.graph acg);
-  let injected = Net.pending net + Net.dropped_count net in
-  let stranded = match Net.run_until_idle ~max_cycles net with `Idle -> 0 | `Limit n -> n in
+  let flows = D.edges (Noc_core.Acg.graph acg) in
+  ignore (Noc_sim.Traffic.burst ~max_cycles ~size_flits (Noc_sim.Engine.of_network net) flows);
+  (* a drain that hit [max_cycles] leaves the stranded packets pending *)
+  let injected = List.length flows and stranded = Net.pending net in
   let delivered = Net.delivered_count net in
   let dropped = Net.dropped_count net in
   let summary = Noc_sim.Stats.summarize (Net.deliveries net) in

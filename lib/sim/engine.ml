@@ -10,31 +10,56 @@ let kind_of_name = function
   | "flit" -> Some Flit
   | _ -> None
 
-type t = C of Network.t | W of Wormhole.t | F of Flitsim.t
+module type S = sig
+  type t
+
+  val now : t -> int
+
+  val inject :
+    ?tag:int -> ?payload:Bytes.t -> ?size_flits:int -> t -> src:int -> dst:int -> int
+
+  val step : t -> unit
+  val pending : t -> int
+  val run_until_idle : ?max_cycles:int -> t -> [ `Idle | `Deadlock | `Limit of int ]
+  val deliveries : t -> Packet.delivery list
+  val flit_hops : t -> int
+  val metrics : t -> (string * float) list
+  val vc_truncated : t -> bool
+  val conserved : t -> bool
+end
+
+(* only the wormhole engine has virtual channels to run short of *)
+module Coarse_engine = struct
+  include Network
+
+  let vc_truncated _ = false
+end
+
+module Flit_engine = struct
+  include Flitsim
+
+  let vc_truncated _ = false
+end
+
+type t = T : kind * (module S with type t = 'a) * 'a -> t
 
 let create ?coarse_config ?wormhole_config ?flit_config kind arch =
   match kind with
-  | Coarse -> C (Network.create ?config:coarse_config arch)
-  | Wormhole -> W (Wormhole.create ?config:wormhole_config arch)
-  | Flit -> F (Flitsim.create ?config:flit_config arch)
+  | Coarse -> T (kind, (module Coarse_engine), Network.create ?config:coarse_config arch)
+  | Wormhole -> T (kind, (module Wormhole), Wormhole.create ?config:wormhole_config arch)
+  | Flit -> T (kind, (module Flit_engine), Flitsim.create ?config:flit_config arch)
 
-let kind = function C _ -> Coarse | W _ -> Wormhole | F _ -> Flit
+let of_network net = T (Coarse, (module Coarse_engine), net)
+
+let kind (T (k, _, _)) = k
 let name t = kind_name (kind t)
+let now (T (_, (module M), x)) = M.now x
 
-let now = function C n -> Network.now n | W w -> Wormhole.now w | F f -> Flitsim.now f
+let inject ?tag ?payload ?size_flits (T (_, (module M), x)) ~src ~dst =
+  M.inject ?tag ?payload ?size_flits x ~src ~dst
 
-let inject ?tag ?payload ?size_flits t ~src ~dst =
-  match t with
-  | C n -> Network.inject ?tag ?payload ?size_flits n ~src ~dst
-  | W w -> Wormhole.inject ?tag ?payload ?size_flits w ~src ~dst
-  | F f -> Flitsim.inject ?tag ?payload ?size_flits f ~src ~dst
-
-let step = function C n -> Network.step n | W w -> Wormhole.step w | F f -> Flitsim.step f
-
-let pending = function
-  | C n -> Network.pending n
-  | W w -> Wormhole.pending w
-  | F f -> Flitsim.pending f
+let step (T (_, (module M), x)) = M.step x
+let pending (T (_, (module M), x)) = M.pending x
 
 type verdict = Idle | Deadlock | Limit of int
 
@@ -45,48 +70,15 @@ let pp_verdict ppf = function
   | Deadlock -> Format.pp_print_string ppf "deadlock"
   | Limit n -> Format.fprintf ppf "limit (%d pending)" n
 
-let run_until_idle ?max_cycles t =
-  match t with
-  | C n -> (
-      match Network.run_until_idle ?max_cycles n with
-      | `Idle -> Idle
-      | `Limit p -> Limit p)
-  | W w -> (
-      match Wormhole.run_until_idle ?max_cycles w with
-      | `Idle -> Idle
-      | `Deadlock -> Deadlock
-      | `Limit -> Limit (Wormhole.pending w))
-  | F f -> (
-      match Flitsim.run_until_idle ?max_cycles f with
-      | `Idle -> Idle
-      | `Deadlock -> Deadlock
-      | `Limit p -> Limit p)
+let run_until_idle ?max_cycles (T (_, (module M), x)) =
+  match M.run_until_idle ?max_cycles x with
+  | `Idle -> Idle
+  | `Deadlock -> Deadlock
+  | `Limit n -> Limit n
 
-let deliveries = function
-  | C n -> Network.deliveries n
-  | W w ->
-      List.map
-        (fun (d : Wormhole.delivery) ->
-          { Network.packet = d.Wormhole.packet; Network.delivered_at = d.Wormhole.delivered_at })
-        (Wormhole.deliveries w)
-  | F f ->
-      List.map
-        (fun (d : Flitsim.delivery) ->
-          { Network.packet = d.Flitsim.packet; Network.delivered_at = d.Flitsim.delivered_at })
-        (Flitsim.deliveries f)
-
+let deliveries (T (_, (module M), x)) = M.deliveries x
 let summary t = Stats.summarize (deliveries t)
-
-let flit_hops = function
-  | C n -> Network.flit_hops n
-  | W w -> Wormhole.flit_hops w
-  | F f -> Flitsim.flit_hops f
-
-let metrics = function
-  | C n -> Network.metrics n
-  | W w -> Wormhole.metrics w
-  | F f -> Flitsim.metrics f
-
-let vc_truncated = function C _ | F _ -> false | W w -> Wormhole.vc_truncated w
-
-let flitsim = function F f -> Some f | _ -> None
+let flit_hops (T (_, (module M), x)) = M.flit_hops x
+let metrics (T (_, (module M), x)) = M.metrics x
+let vc_truncated (T (_, (module M), x)) = M.vc_truncated x
+let conserved (T (_, (module M), x)) = M.conserved x

@@ -9,8 +9,6 @@ let default_config = { fifo_depth = 4; flit_bits = 32; phit_bits = 8; router_del
 
 let phits_per_flit cfg = (cfg.flit_bits + cfg.phit_bits - 1) / cfg.phit_bits
 
-type delivery = { packet : Packet.t; delivered_at : int }
-
 (* A route of [arch.routes], resolved once: the vertex path all its
    packets share, the index of its source router, and the VOQ its flits
    occupy at each hop ([Router.flit.path]). *)
@@ -36,7 +34,7 @@ type t = {
   mutable next_id : int;
   mutable injected_packets : int;
   mutable delivered_packets : int;
-  mutable delivered_rev : delivery list;
+  mutable delivered_rev : Packet.delivery list;
   mutable injected_flits : int;
   mutable delivered_flits : int;
   mutable ni_occupancy : int;
@@ -208,7 +206,8 @@ let step t =
           let f = (dequeue t r voq).Router.flit in
           t.delivered_flits <- t.delivered_flits + 1;
           if f.Router.idx = f.Router.packet.Packet.size_flits - 1 then begin
-            t.delivered_rev <- { packet = f.Router.packet; delivered_at = c } :: t.delivered_rev;
+            t.delivered_rev <-
+              { Packet.packet = f.Router.packet; delivered_at = c } :: t.delivered_rev;
             t.delivered_packets <- t.delivered_packets + 1
           end
   done;
@@ -277,7 +276,7 @@ let deliveries t = List.rev t.delivered_rev
 let injected_flits t = t.injected_flits
 let delivered_flits t = t.delivered_flits
 let in_flight_flits t = t.ni_occupancy + t.voq_occupancy + t.wire_occupancy
-let conservation_ok t = t.injected_flits = t.delivered_flits + in_flight_flits t
+let conserved t = t.injected_flits = t.delivered_flits + in_flight_flits t
 let flit_hops t = t.flit_hops
 let buffer_flit_cycles t = t.buffer_flit_cycles
 
@@ -302,12 +301,6 @@ let switch_flits t =
       if t.switch_count.(r) > 0 then m := Vmap.add router.Router.node t.switch_count.(r) !m)
     t.routers;
   !m
-
-let summary t =
-  Stats.summarize
-    (List.map
-       (fun d -> { Network.packet = d.packet; Network.delivered_at = d.delivered_at })
-       (deliveries t))
 
 let metrics t =
   [

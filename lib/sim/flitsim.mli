@@ -56,7 +56,7 @@
     {2 Conservation}
 
     Every cycle, [injected_flits = delivered_flits + in_flight_flits]
-    (NI + VOQ + wire occupancy); {!conservation_ok} exposes the check and
+    (NI + VOQ + wire occupancy); {!conserved} exposes the check and
     the qcheck harness asserts it after every step.
 
     {2 Cost}
@@ -89,8 +89,6 @@ val default_config : config
 
 val phits_per_flit : config -> int
 
-type delivery = { packet : Packet.t; delivered_at : int }
-
 type t
 
 val create : ?config:config -> Noc_core.Synthesis.t -> t
@@ -117,7 +115,7 @@ val run_until_idle : ?max_cycles:int -> t -> [ `Idle | `Deadlock | `Limit of int
     cannot help.  [`Limit pending] means the cycle budget ran out with
     [pending] packets still in progress. *)
 
-val deliveries : t -> delivery list
+val deliveries : t -> Packet.delivery list
 (** In ejection order. *)
 
 val injected_flits : t -> int
@@ -126,7 +124,7 @@ val delivered_flits : t -> int
 val in_flight_flits : t -> int
 (** Flits buffered in NIs and VOQs plus flits on wires. *)
 
-val conservation_ok : t -> bool
+val conserved : t -> bool
 (** [injected_flits = delivered_flits + in_flight_flits]; holds after
     every [step] unless the engine itself is broken. *)
 
@@ -139,9 +137,6 @@ val buffer_flit_cycles : t -> int
 
 val link_flits : t -> int Noc_graph.Digraph.Edge_map.t
 val switch_flits : t -> int Noc_graph.Digraph.Vmap.t
-
-val summary : t -> Stats.summary
-(** {!Stats.summarize} over a compatible delivery view. *)
 
 val metrics : t -> (string * float) list
 (** Flat snapshot: cycles, injected/delivered/pending packets, flit

@@ -20,8 +20,6 @@ let default_fault_policy = { max_retries = 8; backoff_base = 2; backoff_cap = 64
 
 type policy = Fixed | Adaptive | Oblivious of Noc_util.Prng.t
 
-type delivery = { packet : Packet.t; delivered_at : int }
-
 type drop_reason = Link_failed | Switch_failed | No_route | Retries_exhausted
 
 type drop = { packet : Packet.t; dropped_at : int; reason : drop_reason }
@@ -79,8 +77,8 @@ type t = {
   failed_switches : (int, unit) Hashtbl.t;
   mutable fault_events : (int * int * fault_event) list;  (* (at, seq, ev), sorted *)
   mutable fault_seq : int;
-  mutable delivered_rev : delivery list;
-  mutable drain_rev : delivery list;
+  mutable delivered_rev : Packet.delivery list;
+  mutable drain_rev : Packet.delivery list;
   mutable dropped_rev : drop list;
   mutable flit_hops : int;
   mutable link_flits : int Edge_map.t;
@@ -191,7 +189,7 @@ let deliver t inf =
   t.in_network <- t.in_network - 1;
   Hashtbl.remove t.live inf.packet.Packet.id;
   Hashtbl.replace t.traces inf.packet.Packet.id (List.rev inf.trace);
-  let d = { packet = inf.packet; delivered_at = t.cycle } in
+  let d = { Packet.packet = inf.packet; delivered_at = t.cycle } in
   t.delivered_rev <- d :: t.delivered_rev;
   t.drain_rev <- d :: t.drain_rev
 
@@ -617,6 +615,8 @@ let switch_flits t = t.switch_flits
 let contention_events t = t.contention_events
 
 let delivered_count t = List.length t.delivered_rev
+
+let conserved t = t.next_id = delivered_count t + dropped_count t + t.in_network
 
 let metrics t =
   let base =

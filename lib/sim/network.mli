@@ -68,8 +68,6 @@ type policy =
       (** minimal stochastic: uniform choice among distance-reducing
           neighbors, deterministic for a given PRNG *)
 
-type delivery = { packet : Packet.t; delivered_at : int }
-
 (** Why a packet was dropped: *)
 type drop_reason =
   | Link_failed  (** lost on a failing link with no retry budget left *)
@@ -119,12 +117,13 @@ val stranded : t -> Packet.t list
     [`Limit] verdict is counting.  Empty after an [`Idle] return: every
     packet has been classified as delivered or dropped. *)
 
-val run_until_idle : ?max_cycles:int -> t -> [ `Idle | `Limit of int ]
+val run_until_idle : ?max_cycles:int -> t -> [> `Idle | `Limit of int ]
 (** Steps until no packet is in flight (returning at the cycle the last
     delivery happened... precisely: the first cycle at which the network is
     empty) or until [max_cycles] total steps (default 1_000_000).
     [`Limit n] reports the [n = pending t] packets still in flight; see
-    {!stranded} for their identities. *)
+    {!stranded} for their identities.  The coarse engine cannot deadlock;
+    the result type is open only so the module fits {!Engine.S}. *)
 
 (** {2 Fault injection} *)
 
@@ -166,10 +165,10 @@ val live_topology : t -> Noc_graph.Digraph.t
 (** The architecture topology minus currently-failed links/switches — what
     replanning routes over. *)
 
-val deliveries : t -> delivery list
+val deliveries : t -> Packet.delivery list
 (** All deliveries so far, in delivery order. *)
 
-val drain_deliveries : t -> delivery list
+val drain_deliveries : t -> Packet.delivery list
 (** Deliveries since the previous call (or since creation), in delivery
     order; clears the drain buffer but not the cumulative statistics. *)
 
@@ -212,6 +211,10 @@ val contention_events : t -> int
 
 val delivered_count : t -> int
 (** Packets delivered so far. *)
+
+val conserved : t -> bool
+(** Every injected packet is delivered, dropped or still in the network.
+    Holds after every [step] unless the engine itself is broken. *)
 
 val metrics : t -> (string * float) list
 (** Every activity counter as a flat metric list: scalar counters

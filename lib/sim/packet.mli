@@ -11,6 +11,10 @@ type t = {
   injected_at : int;
 }
 
+type delivery = { packet : t; delivered_at : int }
+(** A packet and the cycle its tail flit reached the destination — the
+    record every engine reports its deliveries in. *)
+
 val hops : t -> int
 (** Number of physical links the packet crosses. *)
 

@@ -17,25 +17,15 @@ let latency_vs_load ?(engine = Engine.Coarse) ~rng ~arch ~acg ?(size_flits = 2)
     (fun rate ->
       let rng = Noc_util.Prng.split rng in
       let net = Engine.create engine arch in
-      let injected = ref 0 in
-      for _ = 1 to cycles do
-        List.iter
-          (fun (src, dst) ->
-            if Noc_util.Prng.bernoulli rng rate then begin
-              ignore (Engine.inject ~size_flits net ~src ~dst);
-              incr injected
-            end)
-          edges;
-        Engine.step net
-      done;
+      let flows = List.map (fun (src, dst) -> { Traffic.src; dst; size_flits; rate }) edges in
       (* whatever the verdict, the packets a stopped drain leaves behind
          are the stranded ones *)
-      ignore (Engine.run_until_idle ~max_cycles:200_000 net);
+      let _verdict, injected = Traffic.run ~rng ~flows ~cycles net in
       let s = Engine.summary net in
       {
         rate;
         offered = rate *. float_of_int (List.length edges);
-        injected = !injected;
+        injected;
         delivered = s.Stats.packets;
         stranded = Engine.pending net;
         avg_latency = s.Stats.avg_latency;

@@ -29,7 +29,8 @@ val latency_vs_load :
   point list
 (** One fresh network per rate; flows are the ACG's edges with equal rates
     ([Traffic.flows_of_acg] scaling is bypassed — the sweep sets the rate
-    directly).  [cycles] (default 2000) of injection, then a bounded drain.
+    directly) and {!Traffic.run} drives them: [cycles] (default 2000) of
+    injection, then a bounded drain.
     Deterministic: the PRNG is split per rate.  [engine] (default
     {!Engine.Coarse} for speed) picks the simulation fidelity; a
     high-fidelity run that deadlocks or hits the drain bound reports the

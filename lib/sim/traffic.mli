@@ -1,28 +1,44 @@
-(** Synthetic traffic generation.
+(** The one traffic driver over {!Engine.t}: synthetic Bernoulli flows
+    and the one-packet-per-flow burst.
 
     Flows mirror the ACG: each ACG edge becomes a flow whose injection rate
     is proportional to its bandwidth requirement.  Injection is Bernoulli
     per cycle (a discrete Poisson-like process), deterministic under the
-    given PRNG. *)
+    given PRNG — so every engine driven with the same seed and flows is
+    offered the same packets, and fidelity is the only variable. *)
 
 type flow = { src : int; dst : int; size_flits : int; rate : float }
 (** [rate] = expected injections per cycle, in [0, 1]. *)
 
-val flows_of_acg : ?size_flits:int -> rate_scale:float -> Noc_core.Acg.t -> flow list
-(** One flow per ACG edge with [rate = rate_scale * b(e) / max_b] (all
-    zero-bandwidth edges get [rate_scale] — uniform load).  [size_flits]
-    defaults to 1. *)
+val flows_of_acg : rate_scale:float -> Noc_core.Acg.t -> flow list
+(** One flow of 1-flit packets per ACG edge, in edge order, with
+    [rate = rate_scale * b(e) / max_b] (all zero-bandwidth edges get
+    [rate_scale] — uniform load). *)
 
 val run :
   rng:Noc_util.Prng.t ->
-  net:Network.t ->
   flows:flow list ->
   cycles:int ->
-  unit ->
-  Network.delivery list
-(** Drives the network for [cycles] cycles of random injection, then lets
-    in-flight packets drain (bounded), returning all deliveries of the
-    run. *)
+  Engine.t ->
+  Engine.verdict * int
+(** Drives the engine for [cycles] cycles — each cycle, one Bernoulli
+    draw per flow in list order, then a step — and then lets in-flight
+    packets drain for at most 200 000 cycles.  Returns the drain's
+    verdict and the number of packets injected; the deliveries are the
+    engine's ({!Engine.deliveries}, {!Engine.summary}). *)
+
+type burst = {
+  verdict : Engine.verdict;
+  delivered : int;
+  clean : bool;
+      (** the drain went [Idle], every packet was delivered and the
+          engine's accounting invariant ({!Engine.conserved}) holds *)
+}
+
+val burst : ?max_cycles:int -> size_flits:int -> Engine.t -> (int * int) list -> burst
+(** Injects one [size_flits] packet per [(src, dst)] pair, in list order
+    at the current cycle, then drains ([max_cycles] defaults to the
+    engine's own bound). *)
 
 val offered_load : flow list -> float
 (** Sum of flow rates: expected packets injected per cycle. *)

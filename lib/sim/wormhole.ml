@@ -8,8 +8,6 @@ type config = {
 
 let default_config = { num_vcs = 2; flit_bits = 8 }
 
-type delivery = { packet : Packet.t; delivered_at : int }
-
 (* A worm whose flits occupy the consecutive channel window [lo, head_ch]
    of its route (lo = 0 while flits are still entering at the source). *)
 type worm = {
@@ -38,7 +36,7 @@ type t = {
      at most twice the peak live population. *)
   mutable worms : worm array;
   mutable count : int;
-  mutable delivered_rev : delivery list;
+  mutable delivered_rev : Packet.delivery list;
   mutable delivered_count : int;
   mutable flit_hops : int;
   mutable link_flits : int Edge_map.t;
@@ -156,7 +154,7 @@ let window w =
 let deliver t w =
   w.delivered <- true;
   t.delivered_count <- t.delivered_count + 1;
-  t.delivered_rev <- { packet = w.packet; delivered_at = t.cycle } :: t.delivered_rev
+  t.delivered_rev <- { Packet.packet = w.packet; delivered_at = t.cycle } :: t.delivered_rev
 
 let step t =
   t.cycle <- t.cycle + 1;
@@ -280,11 +278,13 @@ let step t =
 
 let pending t = t.count
 
+let conserved t = t.next_id = t.delivered_count + t.count
+
 let run_until_idle ?(max_cycles = 1_000_000) t =
   let start = t.cycle in
   let rec go () =
     if t.count = 0 then `Idle
-    else if t.cycle - start >= max_cycles then `Limit
+    else if t.cycle - start >= max_cycles then `Limit t.count
     else begin
       step t;
       (* the state is purely a function of worm positions and holds; if
@@ -305,12 +305,6 @@ let vcs_required t = t.vcs_required
 let vc_truncated t = t.truncated_worms > 0
 
 let vc_truncated_count t = t.truncated_worms
-
-let summary t =
-  Stats.summarize
-    (List.map
-       (fun { packet; delivered_at } -> { Network.packet; delivered_at })
-       (deliveries t))
 
 let metrics t =
   [

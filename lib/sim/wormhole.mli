@@ -44,8 +44,6 @@ type config = {
 val default_config : config
 (** [num_vcs = 2], [flit_bits = 8]. *)
 
-type delivery = { packet : Packet.t; delivered_at : int }
-
 type t
 
 val create : ?config:config -> Noc_core.Synthesis.t -> t
@@ -62,15 +60,19 @@ val step : t -> unit
 
 val pending : t -> int
 
-val run_until_idle : ?max_cycles:int -> t -> [ `Idle | `Deadlock | `Limit ]
+val conserved : t -> bool
+(** Every injected worm is delivered or pending; holds after every
+    [step] unless the engine itself is broken. *)
+
+val run_until_idle : ?max_cycles:int -> t -> [ `Idle | `Deadlock | `Limit of int ]
 (** [`Deadlock] is returned when worms remain but a full arbitration
     round moved none of them — with fixed routes and in-place stalling
     that state is a fixpoint, so it is a genuine circular wait (check
     {!vc_truncated} to tell an under-provisioned-VC deadlock from an
-    architectural one).  [`Limit] means the cycle budget ran out while
-    progress was still being made. *)
+    architectural one).  [`Limit pending] means the cycle budget ran out
+    while progress was still being made, with [pending] worms left. *)
 
-val deliveries : t -> delivery list
+val deliveries : t -> Packet.delivery list
 
 val flit_hops : t -> int
 (** Total flit-link traversals (for energy accounting, compatible with
@@ -89,9 +91,6 @@ val vc_truncated : t -> bool
 
 val vc_truncated_count : t -> int
 (** How many worms were capped. *)
-
-val summary : t -> Stats.summary
-(** Convenience: {!Stats.summarize} over a compatible delivery view. *)
 
 val metrics : t -> (string * float) list
 (** Flat snapshot: cycles, injected/delivered/pending worms, flit hops,

@@ -652,6 +652,13 @@ let test_acg_io_errors () =
      would cancel other flows' bits, a NaN bandwidth poisons every metric *)
   check_parse_error "negative volume" "line 2, column 5: negative volume '-64'"
     "1 2 64 0.5\n2 3 -64 0.5";
+  (* core ids are non-negative labels (the grid placement and the wire
+     format both assume it) *)
+  check_parse_error "negative source" "line 1, column 1: negative source vertex '-1'"
+    "-1 2 1 1.0";
+  check_parse_error "negative destination"
+    "line 2, column 3: negative destination vertex '-2'" "1 2 64 0.5\n1 -2 64 0.5";
+  check_parse_error "negative vertex" "line 1, column 8: negative vertex id '-3'" "vertex -3";
   check_parse_error "negative bandwidth"
     "line 1, column 8: bandwidth '-0.5' is not finite and non-negative" "1 2 64 -0.5";
   check_parse_error "nan bandwidth"

@@ -21,6 +21,7 @@ module Credit = Noc_sim.Credit
 module Flit = Noc_sim.Flitsim
 module Worm = Noc_sim.Wormhole
 module Engine = Noc_sim.Engine
+module Traffic = Noc_sim.Traffic
 module Packet = Noc_sim.Packet
 module Edge_map = D.Edge_map
 
@@ -71,9 +72,9 @@ let single_packet_latency ~cfg ~h ~n =
   | `Idle -> ()
   | `Deadlock -> Alcotest.fail "deadlock on an uncontended line"
   | `Limit _ -> Alcotest.fail "limit on an uncontended line");
-  Alcotest.(check bool) "conservation" true (Flit.conservation_ok f);
+  Alcotest.(check bool) "conservation" true (Flit.conserved f);
   match Flit.deliveries f with
-  | [ d ] -> d.Flit.delivered_at - d.Flit.packet.Packet.injected_at
+  | [ d ] -> d.Packet.delivered_at - d.Packet.packet.Packet.injected_at
   | ds -> Alcotest.failf "expected 1 delivery, got %d" (List.length ds)
 
 let test_flit_latency_formula () =
@@ -162,11 +163,11 @@ let test_wormhole_zero_hop () =
   (match Worm.run_until_idle w with
   | `Idle -> ()
   | `Deadlock -> Alcotest.fail "zero-hop worm deadlocked"
-  | `Limit -> Alcotest.fail "zero-hop worm never drained");
+  | `Limit _ -> Alcotest.fail "zero-hop worm never drained");
   (match Worm.deliveries w with
   | [ d ] ->
       Alcotest.(check int) "latency = size_flits" 3
-        (d.Worm.delivered_at - d.Worm.packet.Packet.injected_at)
+        (d.Packet.delivered_at - d.Packet.packet.Packet.injected_at)
   | ds -> Alcotest.failf "expected 1 delivery, got %d" (List.length ds));
   Alcotest.(check int) "no link traversals" 0 (Worm.flit_hops w)
 
@@ -216,15 +217,12 @@ let random_case seed =
 
 let burst ?wormhole_config ?flit_config kind acg arch =
   let net = Engine.create ?wormhole_config ?flit_config kind arch in
-  D.iter_edges
-    (fun src dst -> ignore (Engine.inject ~size_flits:2 net ~src ~dst))
-    (Acg.graph acg);
-  let verdict = Engine.run_until_idle net in
-  (net, verdict)
+  let b = Traffic.burst ~size_flits:2 net (D.edges (Acg.graph acg)) in
+  (net, b.Traffic.verdict)
 
 let delivery_set net =
   Engine.deliveries net
-  |> List.map (fun (d : Noc_sim.Network.delivery) ->
+  |> List.map (fun (d : Packet.delivery) ->
          (d.packet.Packet.id, d.packet.Packet.src, d.packet.Packet.dst))
   |> List.sort compare
 
@@ -257,41 +255,101 @@ let qcheck_engines_agree =
           QCheck.Test.fail_reportf "seed %d: flit hit the cycle limit (%d pending)" seed n);
       if delivery_set coarse <> delivery_set worm then
         QCheck.Test.fail_reportf "seed %d: coarse/wormhole delivery sets differ" seed;
-      (match Engine.flitsim flit with
-      | Some f ->
-          if not (Flit.conservation_ok f) then
-            QCheck.Test.fail_reportf "seed %d: flit conservation broken" seed
-      | None -> ());
+      List.iter
+        (fun net ->
+          if not (Engine.conserved net) then
+            QCheck.Test.fail_reportf "seed %d: %s conservation broken" seed (Engine.name net))
+        [ coarse; worm; flit ];
       true)
 
-let qcheck_conservation_every_cycle =
-  QCheck.Test.make ~name:"flit conservation holds after every cycle" ~count:200
+(* one 200-case property per engine, each through [Engine.conserved] *)
+let qcheck_conservation_every_cycle kind =
+  QCheck.Test.make
+    ~name:(Engine.kind_name kind ^ " conservation holds after every cycle")
+    ~count:200
     QCheck.(int_range 0 800)
     (fun k ->
       let seed = 90_000 + k in
       let acg, arch = random_case seed in
-      let f = Flit.create arch in
-      let flows = D.edges (Acg.graph acg) in
+      let net = Engine.create kind arch in
+      let check () =
+        if not (Engine.conserved net) then
+          QCheck.Test.fail_reportf "seed %d: conservation broken at cycle %d" seed
+            (Engine.now net)
+      in
       (* stagger the injections so arrivals, credit returns and NI pushes
          overlap in as many phase combinations as possible *)
       List.iteri
         (fun i (src, dst) ->
-          ignore (Flit.inject ~size_flits:(1 + (i mod 3)) f ~src ~dst);
-          Flit.step f;
-          if not (Flit.conservation_ok f) then
-            QCheck.Test.fail_reportf "seed %d: conservation broken at cycle %d" seed
-              (Flit.now f))
-        flows;
+          ignore (Engine.inject ~size_flits:(1 + (i mod 3)) net ~src ~dst);
+          Engine.step net;
+          check ())
+        (D.edges (Acg.graph acg));
       let budget = ref 5_000 in
-      while Flit.pending f > 0 && !budget > 0 do
+      while Engine.pending net > 0 && !budget > 0 do
         decr budget;
-        Flit.step f;
-        if not (Flit.conservation_ok f) then
-          QCheck.Test.fail_reportf "seed %d: conservation broken at cycle %d" seed
-            (Flit.now f)
+        Engine.step net;
+        check ()
       done;
-      (* cyclic-CDG cases may deadlock with flits parked in VOQs; the
-         invariant must hold there too, which the loop above checked *)
+      (* cyclic-CDG cases may deadlock with flits parked in VOQs (or worms
+         holding their VCs); the invariant must hold there too, which the
+         loop above checked *)
+      true)
+
+(* Traffic.run offers every engine the same packets: with one seed and
+   one flow list, the injected sequence (id, src, dst, size, cycle) cannot
+   depend on the fidelity.  The coarse engine cannot deadlock and the
+   wormhole engine gets a sound VC budget, so both deliver the whole
+   sequence; the flit engine delivers all of it, or a subset of it when a
+   cyclic CDG deadlocks the fabric. *)
+let qcheck_traffic_same_packets =
+  QCheck.Test.make ~name:"Traffic.run injects the same packets on every engine" ~count:200
+    QCheck.(int_range 0 800)
+    (fun k ->
+      let seed = 50_000 + k in
+      let acg, arch = random_case seed in
+      let flows = Traffic.flows_of_acg ~rate_scale:0.05 acg in
+      let run kind =
+        let net =
+          Engine.create ~wormhole_config:{ Worm.num_vcs = 16; flit_bits = 8 } kind arch
+        in
+        let verdict, injected =
+          Traffic.run ~rng:(Prng.create ~seed) ~flows ~cycles:60 net
+        in
+        let sequence =
+          Engine.deliveries net
+          |> List.map (fun { Packet.packet = p; _ } ->
+                 (p.Packet.id, p.Packet.src, p.Packet.dst, p.Packet.size_flits,
+                  p.Packet.injected_at))
+          |> List.sort compare
+        in
+        (verdict, injected, sequence)
+      in
+      let cv, injected, offered = run Engine.Coarse in
+      let wv, w_injected, w_seq = run Engine.Wormhole in
+      let fv, f_injected, f_seq = run Engine.Flit in
+      if cv <> Engine.Idle || wv <> Engine.Idle then
+        QCheck.Test.fail_reportf "seed %d: coarse %s, wormhole %s" seed
+          (Engine.verdict_name cv) (Engine.verdict_name wv);
+      if w_injected <> injected || f_injected <> injected then
+        QCheck.Test.fail_reportf "seed %d: injected coarse %d, wormhole %d, flit %d" seed
+          injected w_injected f_injected;
+      if List.map (fun (id, _, _, _, _) -> id) offered <> List.init injected Fun.id then
+        QCheck.Test.fail_reportf "seed %d: coarse did not deliver ids 0..%d" seed
+          (injected - 1);
+      if w_seq <> offered then
+        QCheck.Test.fail_reportf "seed %d: wormhole packet sequence differs" seed;
+      (match fv with
+      | Engine.Idle ->
+          if f_seq <> offered then
+            QCheck.Test.fail_reportf "seed %d: flit packet sequence differs" seed
+      | Engine.Deadlock ->
+          if Dead.is_deadlock_free arch then
+            QCheck.Test.fail_reportf "seed %d: flit deadlock on an acyclic CDG" seed;
+          if not (List.for_all (fun p -> List.mem p offered) f_seq) then
+            QCheck.Test.fail_reportf "seed %d: flit delivered a packet never offered" seed
+      | Engine.Limit n ->
+          QCheck.Test.fail_reportf "seed %d: flit hit the drain bound (%d pending)" seed n);
       true)
 
 let qcheck_deeper_fifos_monotone =
@@ -341,9 +399,10 @@ let qcheck_flit_accounting =
     (fun k ->
       let seed = 70_000 + k in
       let acg, arch = random_case seed in
-      let net, verdict = burst Engine.Flit acg arch in
-      (match (verdict, Engine.flitsim net) with
-      | Engine.Idle, Some f ->
+      let f = Flit.create arch in
+      D.iter_edges (fun src dst -> ignore (Flit.inject ~size_flits:2 f ~src ~dst)) (Acg.graph acg);
+      (match Flit.run_until_idle f with
+      | `Idle ->
           let links = sum_bindings Edge_map.fold (Flit.link_flits f)
           and switches = sum_bindings D.Vmap.fold (Flit.switch_flits f) in
           if links <> Flit.flit_hops f then
@@ -396,7 +455,7 @@ let golden_trace arch flows ~per_cycle =
   | `Limit n -> Printf.bprintf b "limit %d" n);
   Printf.bprintf b " now=%d\n" (Flit.now f);
   List.iter
-    (fun d -> Printf.bprintf b "%d@%d;" d.Flit.packet.Packet.id d.Flit.delivered_at)
+    (fun d -> Printf.bprintf b "%d@%d;" d.Packet.packet.Packet.id d.Packet.delivered_at)
     (Flit.deliveries f);
   Printf.bprintf b "\nhops=%d buf=%d\n" (Flit.flit_hops f) (Flit.buffer_flit_cycles f);
   Edge_map.iter (fun (u, v) n -> Printf.bprintf b "%d>%d=%d;" u v n) (Flit.link_flits f);
@@ -530,6 +589,26 @@ let test_sweep_reports_deadlock () =
     "saturated at the first rate that strands packets" (Some 0.05)
     (Noc_sim.Sweep.saturation_rate points)
 
+(* Regression: [simulate FILE] used to print a hard-coded "idle" for the
+   coarse engine; the driver now hands every caller the drain's real
+   verdict.  Bernoulli traffic on the cyclic ring deadlocks the flit
+   fabric, while the coarse engine (unbounded per-hop buffers) drains. *)
+let test_traffic_reports_deadlock () =
+  let flows = Traffic.flows_of_acg ~rate_scale:0.3 (ring_acg ()) in
+  let drive kind =
+    let net = Engine.create kind (ring_arch ()) in
+    let verdict, injected = Traffic.run ~rng:(Prng.create ~seed:5) ~flows ~cycles:500 net in
+    Alcotest.(check int)
+      (Engine.name net ^ ": injected = delivered + pending")
+      injected
+      (List.length (Engine.deliveries net) + Engine.pending net);
+    verdict
+  in
+  Alcotest.(check string) "flit engine deadlocks" "deadlock"
+    (Engine.verdict_name (drive Engine.Flit));
+  Alcotest.(check string) "coarse engine drains" "idle"
+    (Engine.verdict_name (drive Engine.Coarse))
+
 let suite =
   ( "flit",
     [
@@ -544,7 +623,10 @@ let suite =
       Alcotest.test_case "wormhole: VC-cap truncation (regression)" `Quick
         test_wormhole_vc_truncation;
       QCheck_alcotest.to_alcotest qcheck_engines_agree;
-      QCheck_alcotest.to_alcotest qcheck_conservation_every_cycle;
+      QCheck_alcotest.to_alcotest (qcheck_conservation_every_cycle Engine.Flit);
+      QCheck_alcotest.to_alcotest (qcheck_conservation_every_cycle Engine.Coarse);
+      QCheck_alcotest.to_alcotest (qcheck_conservation_every_cycle Engine.Wormhole);
+      QCheck_alcotest.to_alcotest qcheck_traffic_same_packets;
       QCheck_alcotest.to_alcotest qcheck_deeper_fifos_monotone;
       Alcotest.test_case "flit: per-link and per-router counters" `Quick
         test_flit_accounting_line;
@@ -552,5 +634,7 @@ let suite =
       Alcotest.test_case "flit: ring burst deadlocks" `Quick test_ring_deadlocks;
       Alcotest.test_case "sweep: deadlocked points are stranded (regression)" `Quick
         test_sweep_reports_deadlock;
+      Alcotest.test_case "traffic: the drain verdict is reported (regression)" `Quick
+        test_traffic_reports_deadlock;
       Alcotest.test_case "flit: cycle-exact golden digests" `Quick test_flit_golden;
     ] )

@@ -149,7 +149,7 @@ let test_transient_failure_heals () =
   Alcotest.(check bool) "source NI retried" true (Net.retries net > 0);
   Alcotest.(check (list (pair int int))) "link back up" [] (Net.failed_links net);
   match Net.deliveries net with
-  | [ { Net.delivered_at; _ } ] ->
+  | [ { Noc_sim.Packet.delivered_at; _ } ] ->
       Alcotest.(check bool) "delivery waited for the repair" true (delivered_at >= 60)
   | _ -> Alcotest.fail "one delivery expected"
 

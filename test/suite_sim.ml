@@ -9,6 +9,8 @@ module Syn = Noc_core.Synthesis
 module Net = Noc_sim.Network
 module Stats = Noc_sim.Stats
 module Traffic = Noc_sim.Traffic
+module Engine = Noc_sim.Engine
+module Packet = Noc_sim.Packet
 module Prng = Noc_util.Prng
 
 (* A 1x4 mesh (a path) carrying flows along it: easy to reason about. *)
@@ -24,7 +26,7 @@ let test_single_packet_latency () =
   let _ = Net.inject net ~src:1 ~dst:2 in
   (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
   match Net.deliveries net with
-  | [ { Net.delivered_at; packet } ] ->
+  | [ { Packet.delivered_at; packet } ] ->
       Alcotest.(check int) "one hop latency" 3 delivered_at;
       Alcotest.(check int) "injected at 0" 0 packet.Noc_sim.Packet.injected_at
   | ds -> Alcotest.fail (Printf.sprintf "expected 1 delivery, got %d" (List.length ds))
@@ -36,7 +38,7 @@ let test_multi_hop_latency () =
   let _ = Net.inject net ~src:1 ~dst:4 in
   (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
   match Net.deliveries net with
-  | [ { Net.delivered_at; _ } ] -> Alcotest.(check int) "three hops" 7 delivered_at
+  | [ { Packet.delivered_at; _ } ] -> Alcotest.(check int) "three hops" 7 delivered_at
   | _ -> Alcotest.fail "one delivery expected"
 
 let test_serialization_delay () =
@@ -46,7 +48,7 @@ let test_serialization_delay () =
   let _ = Net.inject ~size_flits:4 net ~src:1 ~dst:2 in
   (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
   match Net.deliveries net with
-  | [ { Net.delivered_at; _ } ] -> Alcotest.(check int) "serialized" 6 delivered_at
+  | [ { Packet.delivered_at; _ } ] -> Alcotest.(check int) "serialized" 6 delivered_at
   | _ -> Alcotest.fail "one delivery expected"
 
 let test_contention_serializes () =
@@ -59,7 +61,7 @@ let test_contention_serializes () =
   (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
   let ds = Net.deliveries net in
   Alcotest.(check int) "both delivered" 2 (List.length ds);
-  let times = List.map (fun d -> d.Net.delivered_at) ds |> List.sort compare in
+  let times = List.map (fun d -> d.Packet.delivered_at) ds |> List.sort compare in
   Alcotest.(check (list int)) "one cycle apart" [ 3; 4 ] times
 
 let test_fifo_order_on_channel () =
@@ -71,8 +73,8 @@ let test_fifo_order_on_channel () =
   (match Net.deliveries net with
   | [ a; b ] ->
       Alcotest.(check int) "first injected first delivered" id1
-        a.Net.packet.Noc_sim.Packet.id;
-      Alcotest.(check int) "second" id2 b.Net.packet.Noc_sim.Packet.id
+        a.Packet.packet.Noc_sim.Packet.id;
+      Alcotest.(check int) "second" id2 b.Packet.packet.Noc_sim.Packet.id
   | _ -> Alcotest.fail "two deliveries expected")
 
 let test_inject_no_route () =
@@ -117,7 +119,7 @@ let test_payload_carried () =
   let _ = Net.inject ~payload ~tag:42 net ~src:1 ~dst:4 in
   (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "hang");
   match Net.deliveries net with
-  | [ { Net.packet; _ } ] ->
+  | [ { Packet.packet; _ } ] ->
       Alcotest.(check string) "payload" "x" (Bytes.to_string packet.Noc_sim.Packet.payload);
       Alcotest.(check int) "tag" 42 packet.Noc_sim.Packet.tag
   | _ -> Alcotest.fail "one delivery expected"
@@ -129,7 +131,8 @@ let test_determinism () =
     let net = Net.create arch in
     let rng = Prng.create ~seed:3 in
     let flows = Traffic.flows_of_acg ~rate_scale:0.05 acg in
-    let ds = Traffic.run ~rng ~net ~flows ~cycles:500 () in
+    ignore (Traffic.run ~rng ~flows ~cycles:500 (Engine.of_network net));
+    let ds = Net.deliveries net in
     (List.length ds, (Stats.summarize ds).Stats.avg_latency)
   in
   let a = run () and b = run () in
@@ -197,7 +200,7 @@ let test_wormhole_empty_summary () =
   let acg = Acg.uniform ~volume:1 ~bandwidth:0.1 (D.of_edges [ (1, 2) ]) in
   let arch = Syn.mesh ~rows:1 ~cols:2 acg in
   let net = Noc_sim.Wormhole.create arch in
-  let s = Noc_sim.Wormhole.summary net in
+  let s = Stats.summarize (Noc_sim.Wormhole.deliveries net) in
   Alcotest.(check int) "no packets" 0 s.Stats.packets;
   Alcotest.(check bool) "idle immediately" true
     (Noc_sim.Wormhole.run_until_idle net = `Idle)
@@ -217,7 +220,8 @@ let test_traffic_run_delivers () =
   let net = Net.create arch in
   let rng = Prng.create ~seed:7 in
   let flows = Traffic.flows_of_acg ~rate_scale:0.02 acg in
-  let ds = Traffic.run ~rng ~net ~flows ~cycles:1000 () in
+  ignore (Traffic.run ~rng ~flows ~cycles:1000 (Engine.of_network net));
+  let ds = Net.deliveries net in
   Alcotest.(check bool) "packets delivered" true (List.length ds > 0);
   Alcotest.(check int) "none stuck" 0 (Net.pending net)
 
@@ -300,7 +304,8 @@ let test_adaptive_on_custom_topology () =
   let net = Net.create ~policy:Net.Adaptive arch in
   let flows = Traffic.flows_of_acg ~rate_scale:0.05 acg in
   let rng = Prng.create ~seed:5 in
-  let ds = Traffic.run ~rng ~net ~flows ~cycles:300 () in
+  ignore (Traffic.run ~rng ~flows ~cycles:300 (Engine.of_network net));
+  let ds = Net.deliveries net in
   Alcotest.(check bool) "delivers" true (List.length ds > 0);
   Alcotest.(check int) "drains" 0 (Net.pending net)
 
@@ -426,9 +431,9 @@ let test_wormhole_uncontended_latency () =
       let _ = W.inject ~size_flits:n net ~src:1 ~dst:(h + 1) in
       (match W.run_until_idle net with
       | `Idle -> ()
-      | `Deadlock | `Limit -> Alcotest.fail "uncontended worm must drain");
+      | `Deadlock | `Limit _ -> Alcotest.fail "uncontended worm must drain");
       match W.deliveries net with
-      | [ { W.delivered_at; _ } ] ->
+      | [ { Packet.delivered_at; _ } ] ->
           Alcotest.(check int) (Printf.sprintf "h=%d n=%d" h n) (h + n) delivered_at
       | _ -> Alcotest.fail "one delivery")
     [ (1, 1); (1, 4); (3, 1); (3, 4); (5, 8) ]
@@ -442,13 +447,13 @@ let test_wormhole_beats_store_and_forward () =
     let net = W.create arch in
     let _ = W.inject ~size_flits:n net ~src:1 ~dst:(h + 1) in
     (match W.run_until_idle net with `Idle -> () | _ -> Alcotest.fail "drain");
-    (List.hd (W.deliveries net)).W.delivered_at
+    (List.hd (W.deliveries net)).Packet.delivered_at
   in
   let saf =
     let net = Net.create arch in
     let _ = Net.inject ~size_flits:n net ~src:1 ~dst:(h + 1) in
     (match Net.run_until_idle net with `Idle -> () | `Limit _ -> Alcotest.fail "drain");
-    (List.hd (Net.deliveries net)).Net.delivered_at
+    (List.hd (Net.deliveries net)).Packet.delivered_at
   in
   Alcotest.(check bool) "wormhole pipelines" true (whn < saf)
 
@@ -461,7 +466,7 @@ let test_wormhole_link_sharing () =
   let _ = W.inject ~size_flits:4 net ~src:1 ~dst:2 in
   let _ = W.inject ~size_flits:4 net ~src:1 ~dst:2 in
   (match W.run_until_idle net with `Idle -> () | _ -> Alcotest.fail "drain");
-  let times = List.map (fun d -> d.W.delivered_at) (W.deliveries net) in
+  let times = List.map (fun d -> d.Packet.delivered_at) (W.deliveries net) in
   Alcotest.(check int) "both delivered" 2 (List.length times);
   Alcotest.(check bool) "link is serialized" true (List.fold_left max 0 times >= 8)
 
@@ -502,7 +507,7 @@ let test_wormhole_ring_deadlocks_with_one_vc () =
   (match W.run_until_idle net with
   | `Deadlock -> ()
   | `Idle -> Alcotest.fail "expected a deadlock with 1 VC"
-  | `Limit -> Alcotest.fail "expected deadlock detection, not a timeout");
+  | `Limit _ -> Alcotest.fail "expected deadlock detection, not a timeout");
   Alcotest.(check bool) "worms stuck" true (W.pending net > 0)
 
 let test_wormhole_ring_drains_with_two_vcs () =
@@ -514,9 +519,9 @@ let test_wormhole_ring_drains_with_two_vcs () =
   (match W.run_until_idle net with
   | `Idle -> ()
   | `Deadlock -> Alcotest.fail "2 VCs must break the cycle"
-  | `Limit -> Alcotest.fail "unexpected timeout");
+  | `Limit _ -> Alcotest.fail "unexpected timeout");
   Alcotest.(check int) "all delivered" 4 (List.length (W.deliveries net));
-  Alcotest.(check int) "summary agrees" 4 (W.summary net).Stats.packets
+  Alcotest.(check int) "summary agrees" 4 (Stats.summarize (W.deliveries net)).Stats.packets
 
 let test_wormhole_bad_args () =
   let arch = line_arch_flow 1 in
@@ -540,7 +545,7 @@ let qcheck_wormhole_always_terminates_acyclic =
         let u, v = List.nth edges (Prng.int rng (List.length edges)) in
         ignore (W.inject ~size_flits:flits net ~src:u ~dst:v)
       done;
-      match W.run_until_idle net with `Idle -> true | `Deadlock | `Limit -> false)
+      match W.run_until_idle net with `Idle -> true | `Deadlock | `Limit _ -> false)
 
 (* Property: in an uncontended network, latency equals the analytic formula
    router_delay*(h+1) + (link_delay + flits - 1)*h. *)
@@ -557,7 +562,7 @@ let qcheck_uncontended_latency =
       | `Limit _ -> false
       | `Idle -> (
           match Net.deliveries net with
-          | [ { Net.delivered_at; _ } ] ->
+          | [ { Packet.delivered_at; _ } ] ->
               let h = 3 in
               delivered_at = (rd * (h + 1)) + ((1 + flits - 1) * h)
           | _ -> false))
