@@ -663,18 +663,9 @@ let micro ?(quota = 0.5) () =
   let tests =
     Test.make_grouped ~name:"kernels"
       [
-        Test.make ~name:"vf2(map): first MGG4 in AES ACG"
-          (Staged.stage (fun () ->
-               ignore
-                 (Noc_graph.Vf2_map.find_first ~pattern:mgg4_repr ~target:aes_graph ())));
         Test.make ~name:"vf2: first MGG4 in AES ACG"
           (Staged.stage (fun () ->
                ignore (Noc_graph.Vf2.find_first ~pattern:mgg4_repr ~target:aes_graph ())));
-        Test.make ~name:"vf2(map): distinct MGG4 images in AES"
-          (Staged.stage (fun () ->
-               ignore
-                 (Noc_graph.Vf2_map.find_distinct_images ~max_matches:8
-                    ~pattern:mgg4_repr ~target:aes_graph ())));
         Test.make ~name:"vf2: distinct MGG4 images in AES"
           (Staged.stage (fun () ->
                ignore
@@ -734,11 +725,6 @@ let micro ?(quota = 0.5) () =
       else Printf.printf "  %-45s %10.1f ns/run\n" name ns)
     rows;
   let est name = List.assoc_opt ("kernels/" ^ name) rows in
-  (match (est "vf2(map): distinct MGG4 images in AES", est "vf2: distinct MGG4 images in AES")
-   with
-  | Some m, Some c when c > 0. ->
-      Printf.printf "  vf2 distinct-images speedup (map -> compact): %.2fx\n" (m /. c)
-  | _ -> ());
   (match
      ( est "decompose[lit,domains=1]: random 12v",
        est "decompose[lit,domains=4]: random 12v" )

@@ -62,18 +62,19 @@ let pick_scenarios names =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed (deterministic runs).")
 
-let library_arg =
-  let lib_enum =
-    Arg.enum [ ("default", `Default); ("minimal", `Minimal); ("extended", `Extended) ]
-  in
+(* the name tables of --library, --tech and --preset are the libraries'
+   own, so an unknown value is a usage error (exit 124) listing the valid
+   names *)
+let library_name_arg =
+  let names = List.map fst L.presets in
   Arg.(
-    value & opt lib_enum `Default
-    & info [ "library" ] ~docv:"LIB" ~doc:"Communication library: default, minimal or extended.")
+    value
+    & opt (enum (List.map (fun n -> (n, n)) names)) "default"
+    & info [ "library" ] ~docv:"LIB"
+        ~doc:(Printf.sprintf "Communication library: %s." (doc_alts names)))
 
-let resolve_library = function
-  | `Default -> L.default ()
-  | `Minimal -> L.minimal ()
-  | `Extended -> L.extended ()
+let library_arg =
+  Term.(const (fun name -> List.assoc name L.presets ()) $ library_name_arg)
 
 let acg_file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"ACG" ~doc:"ACG file (see Acg_io format).")
@@ -138,14 +139,12 @@ let cost_arg =
               floorplan (energy).")
 
 let tech_arg =
+  let names = List.map (fun t -> t.Tech.name) Tech.presets in
   Arg.(
-    value & opt string "cmos-180nm"
-    & info [ "tech" ] ~docv:"NODE" ~doc:"Technology preset (cmos-180nm, cmos-130nm, cmos-100nm).")
-
-let resolve_tech name =
-  match Tech.find name with
-  | Some t -> t
-  | None -> failwith (Printf.sprintf "unknown technology %S" name)
+    value
+    & opt (enum (List.map (fun t -> (t.Tech.name, t)) Tech.presets)) Tech.cmos_180nm
+    & info [ "tech" ] ~docv:"NODE"
+        ~doc:(Printf.sprintf "Technology preset: %s." (doc_alts names)))
 
 let budget_term =
   let make timeout node_budget domains =
@@ -159,28 +158,26 @@ let budget_term =
 type search = {
   acg : Acg.t;
   library : L.t;
-  tech : string;
+  tech : Tech.t;
   options : Bb.options;
   budget : Bb.Budget.t;
 }
 
 let search_term =
-  let make file lib cost tech beam fallback budget =
+  let make file library cost tech beam fallback budget =
     let acg = load_acg file in
-    let library = resolve_library lib in
     let cost_fn =
       match cost with
       | `Edge -> Noc_core.Cost.Edge_count
       | `Energy ->
           let fp = Fp.of_ids (D.vertex_list (Acg.graph acg)) in
-          Noc_core.Cost.Energy { tech = resolve_tech tech; fp }
+          Noc_core.Cost.Energy { tech; fp }
     in
     let options =
       {
         Bb.default_options with
         cost = cost_fn;
         max_matches_per_step = beam;
-        role_aware = (match cost with `Energy -> true | `Edge -> false);
         fallback;
       }
     in
@@ -235,10 +232,12 @@ let generate_cmd =
     Arg.(value & opt float 0.2 & info [ "density" ] ~docv:"P" ~doc:"Edge probability (random).")
   in
   let preset =
+    let names = List.map fst Noc_tgff.Tgff.presets in
     Arg.(
-      value & opt (some string) None
+      value
+      & opt (some (enum Noc_tgff.Tgff.presets)) None
       & info [ "preset" ] ~docv:"NAME"
-          ~doc:"TGFF preset: automotive, consumer, networking, office, telecom.")
+          ~doc:(Printf.sprintf "TGFF preset: %s." (doc_alts names)))
   in
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
@@ -253,10 +252,7 @@ let generate_cmd =
       | `Tgff ->
           let params =
             match preset with
-            | Some name -> (
-                match List.assoc_opt name Noc_tgff.Tgff.presets with
-                | Some p -> p
-                | None -> failwith (Printf.sprintf "unknown preset %S" name))
+            | Some p -> p
             | None -> { Noc_tgff.Tgff.default_params with tasks = nodes }
           in
           Acg.of_tgff (Noc_tgff.Tgff.generate ~rng params)
@@ -326,14 +322,13 @@ let synth_cmd =
     let observe = make_observer ~trace ~metrics in
     let d, stats = Bb.decompose ~options ~budget ~observe ~library acg in
     warn_anytime stats;
-    let tech' = resolve_tech tech in
     let fp = Fp.of_ids (D.vertex_list (Acg.graph acg)) in
     let constraints =
-      if check then Some (Noc_core.Constraints.of_technology tech') else None
+      if check then Some (Noc_core.Constraints.of_technology tech) else None
     in
     let report =
       Obs.span observe ~cat:"synth" "build-report" (fun () ->
-          Noc_core.Report.build ~tech:tech' ~fp ?constraints ~cost:options.Bb.cost ~acg
+          Noc_core.Report.build ~tech ~fp ?constraints ~cost:options.Bb.cost ~acg
             ~decomposition:d ~stats ())
     in
     if metrics then Logs.app (fun k -> k "%s" (Noc_core.Report.to_string report))
@@ -443,9 +438,8 @@ let simulate_cmd =
       exit 1
     end
   in
-  let run file lib tech rows cols cycles rate policy engine scenarios size_flits seed
+  let run file library tech rows cols cycles rate policy engine scenarios size_flits seed
       trace metrics =
-    let library = resolve_library lib in
     match (file, scenarios) with
     | None, _ | _, _ :: _ -> run_corpus ~engine ~library ~size_flits ~metrics scenarios
     | Some file, [] ->
@@ -455,7 +449,6 @@ let simulate_cmd =
         let observe = make_observer ~trace ~metrics in
         let say = say ~metrics in
         let d, _ = Bb.decompose ~observe ~library acg in
-        let tech' = resolve_tech tech in
         (* the floorplan must place every mesh tile: routes may pass through
            tiles that host no core *)
         let fp =
@@ -467,6 +460,7 @@ let simulate_cmd =
         say
           (Printf.sprintf "%-12s %8s %10s %10s %12s %10s %8s" "arch" "packets" "avg lat"
              "thpt" "energy (pJ)" "power(mW)" "verdict");
+        let undrained = ref false in
         let arch_metrics =
           List.map
             (fun (name, arch) ->
@@ -491,11 +485,12 @@ let simulate_cmd =
                 Obs.span observe ~cat:"sim" name (fun () ->
                     Noc_sim.Traffic.run ~rng ~flows ~cycles net)
               in
+              if verdict <> Noc_sim.Engine.Idle then undrained := true;
               warn_vc_truncated net name;
               let s = Noc_sim.Engine.summary net in
               let energy =
                 match coarse with
-                | Some n -> Noc_sim.Stats.energy_metrics ~tech:tech' ~fp n
+                | Some n -> Noc_sim.Stats.energy_metrics ~tech ~fp n
                 | None -> []
               in
               let column key fmt =
@@ -525,13 +520,18 @@ let simulate_cmd =
             [ ("customized", Syn.custom acg d); ("mesh", Syn.mesh ~rows ~cols acg) ]
         in
         write_trace observe trace;
-        if metrics then print_endline (Obs.Json.to_string (Obs.Json.Obj arch_metrics))
+        if metrics then print_endline (Obs.Json.to_string (Obs.Json.Obj arch_metrics));
+        if !undrained then begin
+          Logs.err (fun k -> k "simulate: at least one architecture did not drain to idle");
+          exit 1
+        end
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:
          "Simulate ACG traffic on customized vs mesh (or drive the benchmark corpus) at \
-          a selectable engine fidelity.")
+          a selectable engine fidelity.  Exits 1 when any architecture's drain \
+          verdict is not idle.")
     Term.(
       const run $ acg_file_opt $ library_arg $ tech_arg $ rows $ cols $ cycles $ rate
       $ policy_arg $ engine_arg $ scenario_arg $ size_flits_arg $ seed_arg $ trace_arg
@@ -544,13 +544,11 @@ let codesign_cmd =
   let rounds =
     Arg.(value & opt int 4 & info [ "rounds" ] ~docv:"N" ~doc:"Co-design rounds.")
   in
-  let run file lib tech rounds seed =
+  let run file library tech rounds seed =
     let acg = load_acg file in
-    let library = resolve_library lib in
-    let tech' = resolve_tech tech in
     let fp = Fp.of_ids (D.vertex_list (Acg.graph acg)) in
     let rng = Noc_util.Prng.create ~seed in
-    let r = Noc_core.Co_design.optimize ~rounds ~rng ~tech:tech' ~library ~fp acg in
+    let r = Noc_core.Co_design.optimize ~rounds ~rng ~tech ~library ~fp acg in
     List.iter
       (fun it ->
         Format.printf "round %d: energy=%.1f pJ wirelength=%.1f@."
@@ -576,7 +574,6 @@ let aes_cmd =
     let library = L.default () in
     let d, _ = Bb.decompose ~library acg in
     Format.printf "%a@." (Decomp.pp_with_cost Noc_core.Cost.Edge_count acg) d;
-    let tech' = resolve_tech tech in
     let fp = Fp.of_ids (D.vertex_list (Acg.graph acg)) in
     let key = Noc_aes.Aes_core.of_hex "000102030405060708090a0b0c0d0e0f" in
     let pt = Noc_aes.Aes_core.of_hex "00112233445566778899aabbccddeeff" in
@@ -597,8 +594,8 @@ let aes_cmd =
           (Noc_aes.Distributed.throughput_mbps
              ~cycles_per_block:r.Noc_aes.Distributed.cycles ~clock_mhz:100.0)
           r.Noc_aes.Distributed.summary.Noc_sim.Stats.avg_latency
-          (Noc_sim.Stats.avg_power_mw ~tech:tech' ~fp r.Noc_aes.Distributed.net)
-          (Noc_sim.Stats.total_energy_pj ~tech:tech' ~fp r.Noc_aes.Distributed.net))
+          (Noc_sim.Stats.avg_power_mw ~tech ~fp r.Noc_aes.Distributed.net)
+          (Noc_sim.Stats.total_energy_pj ~tech ~fp r.Noc_aes.Distributed.net))
       [
         ("mesh", Syn.mesh ~rows:4 ~cols:4 acg);
         ("customized", Syn.custom acg d);
@@ -648,8 +645,7 @@ let fuzz_cmd =
             (Printf.sprintf "Restrict to one property (repeatable). Available: %s."
                (String.concat ", " Fz.property_names)))
   in
-  let run cases smoke seed corpus save_dir replay_only props lib trace metrics =
-    let library = resolve_library lib in
+  let run cases smoke seed corpus save_dir replay_only props library trace metrics =
     let observe = make_observer ~trace ~metrics in
     let say = say ~metrics in
     let corpus_n, corpus_failures = Fz.replay ~observe ~library ~dir:corpus () in
@@ -760,8 +756,7 @@ let faults_cmd =
                 failure can disconnect a flow, then run the campaign on the hardened \
                 architecture.")
   in
-  let run campaign links samples scenarios harden seed lib trace metrics =
-    let library = resolve_library lib in
+  let run campaign links samples scenarios harden seed library trace metrics =
     let observe = make_observer ~trace ~metrics in
     let say = say ~metrics in
     let picked = pick_scenarios scenarios in
@@ -919,7 +914,7 @@ let bench_cmd =
              tiers run budget-bounded anytime searches with the greedy fallback and \
              skip the simulation stages.")
   in
-  let run smoke tier out rev lib trace metrics =
+  let run smoke tier out rev library trace metrics =
     let settings, scenarios, mode =
       match tier with
       | `Scale -> (Noc_benchkit.Runner.scale, Noc_benchkit.Corpus.scale (), "scale")
@@ -932,7 +927,6 @@ let bench_cmd =
             Noc_benchkit.Corpus.default (),
             if smoke then "smoke" else "full" )
     in
-    let library = resolve_library lib in
     let observe = make_observer ~trace ~metrics in
     let rev = resolve_rev rev in
     let say = say ~metrics in
@@ -1031,11 +1025,10 @@ let explore_cmd =
             Logs.err (fun k -> k "%s: not a nocsynth-explore-set record" path);
             exit 2)
   in
-  let run scenarios points seed domains lib trace metrics out baseline =
+  let run scenarios points seed domains library trace metrics out baseline =
     (* worker count, like everywhere else, respects the machine clamp; the
        front does not depend on it, only wall-clock does *)
     let domains = max 1 (min domains (Bb.domain_cap ())) in
-    let library = resolve_library lib in
     let observe = make_observer ~trace ~metrics in
     let say = say ~metrics in
     let picked = pick_scenarios scenarios in
@@ -1126,11 +1119,6 @@ let explore_cmd =
 module Serve = Noc_serve
 
 let serve_cmd =
-  let library_name = function
-    | `Default -> "default"
-    | `Minimal -> "minimal"
-    | `Extended -> "extended"
-  in
   let replay_arg =
     Arg.(
       value & opt (some int) None
@@ -1196,9 +1184,8 @@ let serve_cmd =
              never an error) and write a checksummed snapshot back on clean exit.")
   in
   let run replay corpus cache_capacity assert_hit chaos max_inflight max_cores snapshot
-      seed budget lib trace metrics =
+      seed budget library trace metrics =
     let observe = make_observer ~trace ~metrics in
-    let library = library_name lib in
     (match (chaos, replay) with
     | Some requests, _ ->
         let stats =
@@ -1304,7 +1291,7 @@ let serve_cmd =
     Term.(
       const run $ replay_arg $ corpus_arg $ cache_arg $ assert_hit_arg $ chaos_arg
       $ max_inflight_arg $ max_cores_arg $ snapshot_arg $ seed_arg $ budget_term
-      $ library_arg $ trace_arg $ metrics_flag)
+      $ library_name_arg $ trace_arg $ metrics_flag)
 
 let main =
   Cmd.group

@@ -43,9 +43,7 @@ type options = {
   cost : Cost.t;
   constraints : Constraints.t option;
   max_matches_per_step : int;
-  role_aware : bool;
   neutrals : neutral_strategy;
-  approx_missing : int;
   fallback : bool;
 }
 
@@ -54,9 +52,7 @@ let default_options =
     cost = Cost.Edge_count;
     constraints = None;
     max_matches_per_step = 1;
-    role_aware = false;
     neutrals = Greedy;
-    approx_missing = 0;
     fallback = false;
   }
 
@@ -65,7 +61,6 @@ let energy_options ~tech ~fp =
     default_options with
     cost = Cost.Energy { tech; fp };
     constraints = Some (Constraints.of_technology tech);
-    role_aware = true;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -282,11 +277,11 @@ let child_bounds env ~rem_c ~lb_c covered view' =
         (rem_c, lb_c) covered
 
 (* Enumerate up to [max_matches_per_step] candidate matchings of [entry] in
-   [remaining].  Without role awareness, one representative per
-   covered-edge set (the remaining graph after subtraction only depends on
-   that set); with role awareness the cheapest representative per set is
-   kept, because under an energy cost the vertex roles decide which flows
-   ride multi-hop routes. *)
+   [remaining].  Under [Edge_count], one representative per covered-edge
+   set (the remaining graph after subtraction only depends on that set,
+   and so does the matching's cost); under [Energy] the cheapest
+   representative per set is kept, because the vertex roles decide which
+   flows ride multi-hop routes. *)
 let candidate_matchings ~env entry remaining =
   let opts = env.opts in
   let deadline = env.wall_deadline in
@@ -294,58 +289,38 @@ let candidate_matchings ~env entry remaining =
   let acg = env.acg in
   let pattern = Hashtbl.find env.frozen entry.L.id in
   let cap = opts.max_matches_per_step in
-  if opts.approx_missing > 0 then begin
-    (* relaxed matching: dedup by realized edge set, keep discovery order *)
-    let seen = Hashtbl.create 16 in
-    let acc = ref [] in
-    let count = ref 0 in
-    let _ =
-      Noc_graph.Vf2.iter_approx_view ?deadline ?instr
-        ~max_missing:opts.approx_missing ~pattern ~target:remaining (fun a ->
-          let matching = Matching.of_approx_view entry ~pattern ~target:remaining a in
-          let key = matching.Matching.covered in
-          if key = [] || Hashtbl.mem seen key then `Continue
-          else begin
-            Hashtbl.replace seen key true;
-            acc := (matching, Matching.cost opts.cost acg matching) :: !acc;
+  match opts.cost with
+  | Cost.Energy _ ->
+      let groups = Hashtbl.create 16 in
+      let order = ref [] in
+      let hard_cap = max 32 (cap * 16) in
+      let count = ref 0 in
+      let _ =
+        Noc_graph.Vf2.iter_view ?deadline ?instr ~pattern ~target:remaining (fun m ->
+            let matching = Matching.of_vf2 entry m in
+            let c = Matching.cost opts.cost acg matching in
+            let key = matching.Matching.covered in
+            (match Hashtbl.find_opt groups key with
+            | None ->
+                Hashtbl.replace groups key (matching, c);
+                order := key :: !order
+            | Some (_, best_c) -> if c < best_c then Hashtbl.replace groups key (matching, c));
             incr count;
-            if !count >= cap then `Stop else `Continue
-          end)
-    in
-    List.rev !acc
-  end
-  else if opts.role_aware then begin
-    let groups = Hashtbl.create 16 in
-    let order = ref [] in
-    let hard_cap = max 32 (cap * 16) in
-    let count = ref 0 in
-    let _ =
-      Noc_graph.Vf2.iter_view ?deadline ?instr ~pattern ~target:remaining (fun m ->
-          let matching = Matching.of_vf2 entry m in
-          let c = Matching.cost opts.cost acg matching in
-          let key = matching.Matching.covered in
-          (match Hashtbl.find_opt groups key with
-          | None ->
-              Hashtbl.replace groups key (matching, c);
-              order := key :: !order
-          | Some (_, best_c) -> if c < best_c then Hashtbl.replace groups key (matching, c));
-          incr count;
-          if !count >= hard_cap then `Stop else `Continue)
-    in
-    let keys = List.rev !order in
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | k :: rest -> Hashtbl.find groups k :: take (n - 1) rest
-    in
-    take cap keys
-  end
-  else
-    Noc_graph.Vf2.find_distinct_images_view ?deadline ?instr ~max_matches:cap
-      ~pattern ~target:remaining ()
-    |> List.map (fun m ->
-           let matching = Matching.of_vf2 entry m in
-           (matching, Matching.cost opts.cost acg matching))
+            if !count >= hard_cap then `Stop else `Continue)
+      in
+      let keys = List.rev !order in
+      let rec take n = function
+        | [] -> []
+        | _ when n = 0 -> []
+        | k :: rest -> Hashtbl.find groups k :: take (n - 1) rest
+      in
+      take cap keys
+  | Cost.Edge_count ->
+      Noc_graph.Vf2.find_distinct_images_view ?deadline ?instr ~max_matches:cap
+        ~pattern ~target:remaining ()
+      |> List.map (fun m ->
+             let matching = Matching.of_vf2 entry m in
+             (matching, Matching.cost opts.cost acg matching))
 
 (* A library entry is a "saver" when its implementation uses strictly fewer
    physical links than the number of ACG edges it covers (gossip graphs);
@@ -490,14 +465,11 @@ let spawn_depth = 3
 let rec explore ctx remaining matchings_rev cost_so_far min_id ~rem_c ~lb_c
     ~path_rev ~depth =
   let env = ctx.env in
-  let opts = env.opts in
   ignore (Atomic.fetch_and_add env.nodes 1);
   if budget_exhausted ctx then ()
   else begin
     let alive =
-      int_set_of_list
-        (Noc_graph.Multi_pattern.survivors_view ~slack:opts.approx_missing
-           env.compiled remaining)
+      int_set_of_list (Noc_graph.Multi_pattern.survivors_view env.compiled remaining)
     in
     let child_i = ref 0 in
     List.iter

@@ -77,25 +77,21 @@ end
 
 type options = {
   cost : Cost.t;
+      (** also selects how matches are represented: under [Edge_count] a
+          matching's cost depends only on its covered-edge set, so the
+          first match found per set stands for it; under [Energy] the
+          vertex-role assignment changes the cost (which pairs ride
+          multi-hop routes), so the cheapest match per covered-edge set
+          stands for it *)
   constraints : Constraints.t option;
-      (** checked (with {!constraint_rng}) before an incumbent is accepted *)
+      (** checked (with the [rng] of {!decompose}) before an incumbent is
+          accepted *)
   max_matches_per_step : int;
       (** branching factor cap: how many distinct matches of each primitive
           are expanded at one tree node.  The paper's Fig. 2 tree branches
           on one isomorphism per library graph per node, which is the
           default (1); larger values widen the search *)
-  role_aware : bool;
-      (** under an energy cost the vertex-role assignment of a matching
-          changes its cost (which pairs ride multi-hop routes); when set,
-          matches with the same covered-edge set are represented by their
-          cheapest role assignment rather than the first one found *)
   neutrals : neutral_strategy;  (** default [Greedy] *)
-  approx_missing : int;
-      (** tolerance of the relaxed matching the paper suggests in
-          Section 5.1: a primitive may be matched even when up to this many
-          of its pattern edges have no counterpart in the remaining graph
-          (the implementation still provides the full wiring).  0 = exact
-          matching only (default). *)
   fallback : bool;
       (** before searching, run the deterministic greedy completion from
           the root and publish it as the initial incumbent: it prunes from
@@ -103,14 +99,16 @@ type options = {
           a feasible decomposition with {!stats.gap_pct} reported instead
           of the bare all-remainder covering (default false) *)
 }
+(** Matching is exact: every branch instantiates a subgraph monomorphism
+    (Definition 3) of a library primitive into the remaining graph. *)
 
 val default_options : options
-(** [Edge_count] cost, no constraints, one match per primitive per step,
-    [role_aware = false].  Resource limits live in {!Budget.t}. *)
+(** [Edge_count] cost, no constraints, one match per primitive per step.
+    Resource limits live in {!Budget.t}. *)
 
 val energy_options :
   tech:Noc_energy.Technology.t -> fp:Noc_energy.Floorplan.t -> options
-(** Energy cost with role-aware matching, constraints from the
+(** Energy cost (so cheapest-role matching), constraints from the
     technology. *)
 
 type prim_stats = {

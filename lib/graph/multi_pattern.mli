@@ -22,34 +22,10 @@ val compile : (int * Digraph.t) list -> t
 (** [compile [(id, pattern); ...]] precomputes the invariants.  Ids must be
     distinct. @raise Invalid_argument on duplicate ids. *)
 
-val pattern : t -> int -> Digraph.t option
-(** Retrieve a compiled pattern by id. *)
-
-val survivors : ?slack:int -> t -> Digraph.t -> int list
+val survivors_view : t -> Compact.view -> int list
 (** Ids of the patterns that pass the invariant screen against the target,
     in compile order.  Every pattern with at least one monomorphism into
     the target is guaranteed to be included (no false negatives); some
-    survivors may still fail the full search.  [slack] (default 0) relaxes
-    the screen for approximate matching: a pattern missing up to [slack]
-    edges in the target must also survive, so the edge-count and
-    degree-dominance tests are loosened by that amount. *)
-
-val survivors_view : ?slack:int -> t -> Compact.view -> int list
-(** {!survivors} against a {!Compact.view} target: the degree profile is
-    read straight off the CSR snapshot and its deletion overlay, without
-    materializing a digraph. *)
-
-val screened_out : ?slack:int -> t -> Digraph.t -> int list
-(** Complement of {!survivors}: patterns rejected without any search. *)
-
-val find_first :
-  ?deadline:float -> t -> id:int -> Digraph.t -> Vf2.mapping option
-(** Full VF2 search for one pattern — but only after the screen; returns
-    [None] immediately when the screen rejects.
-    @raise Invalid_argument on unknown ids. *)
-
-val matching_patterns :
-  ?deadline:float -> t -> Digraph.t -> (int * Vf2.mapping) list
-(** First monomorphism for every pattern that has one, in compile order —
-    the "which library graphs appear in this input" query the
-    decomposition's branch step performs. *)
+    survivors may still fail the full search.  The target's degree profile
+    is read straight off the CSR snapshot and its deletion overlay,
+    without materializing a digraph. *)

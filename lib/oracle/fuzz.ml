@@ -2,7 +2,6 @@ module D = Noc_graph.Digraph
 module G = Noc_graph.Generators
 module T = Noc_graph.Traversal
 module Vf2 = Noc_graph.Vf2
-module Vf2_map = Noc_graph.Vf2_map
 module P = Noc_primitives.Primitive
 module L = Noc_primitives.Library
 module Acg = Noc_core.Acg

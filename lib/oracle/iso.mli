@@ -1,10 +1,10 @@
 (** Reference subgraph-isomorphism oracle: exhaustive enumeration over a
     dense adjacency matrix.
 
-    The production engines ({!Noc_graph.Vf2} on the CSR kernel,
-    {!Noc_graph.Vf2_map} on persistent maps) order candidates, prune with
-    degree look-aheads and deduplicate states; this module does none of
-    that.  It tries every injective assignment of pattern vertices to
+    The VF2 engines (the production {!Noc_graph.Vf2} on the CSR kernel,
+    and its map-based reference {!Vf2_map} beside this module) order
+    candidates, prune with degree look-aheads and deduplicate states; this
+    module does none of that.  It tries every injective assignment of pattern vertices to
     target vertices in plain lexicographic order and keeps the ones whose
     pattern edges all land on target edges — a dozen lines that can be
     checked by eye against Definition 3 of the paper, at the price of

@@ -1,3 +1,4 @@
+module Digraph = Noc_graph.Digraph
 module Vset = Digraph.Vset
 module Vmap = Digraph.Vmap
 
@@ -134,18 +135,6 @@ let iter ?deadline ~pattern ~target f =
   else
     match extend 0 with () -> Exhausted | exception Stop_search o -> o
 
-let find_first ?deadline ~pattern ~target () =
-  let result = ref None in
-  let _ =
-    iter ?deadline ~pattern ~target (fun m ->
-        result := Some m;
-        `Stop)
-  in
-  !result
-
-let exists ?deadline ~pattern ~target () =
-  match find_first ?deadline ~pattern ~target () with Some _ -> true | None -> false
-
 let find_all ?deadline ?max_matches ~pattern ~target () =
   let acc = ref [] in
   let count = ref 0 in
@@ -183,132 +172,3 @@ let find_distinct_images ?deadline ?max_matches ~pattern ~target () =
         end)
   in
   List.rev !acc
-
-let is_monomorphism ~pattern ~target m =
-  let injective =
-    let images = Vmap.fold (fun _ v acc -> v :: acc) m [] in
-    List.length (List.sort_uniq Int.compare images) = List.length images
-  in
-  let total =
-    Vset.for_all (fun u -> Vmap.mem u m) (Digraph.vertices pattern)
-  in
-  injective && total
-  && Digraph.fold_edges
-       (fun u v ok -> ok && Digraph.mem_edge target (Vmap.find u m) (Vmap.find v m))
-       pattern true
-
-(* ---------------- approximate matching ---------------- *)
-
-type approx = {
-  approx_mapping : mapping;
-  missing : Digraph.Edge.t list;
-}
-
-let iter_approx ?deadline ~max_missing ~pattern ~target f =
-  if max_missing < 0 then invalid_arg "Vf2.iter_approx: negative budget";
-  let order = pattern_order pattern in
-  let np = Array.length order in
-  let nodes_expanded = ref 0 in
-  let check_deadline () =
-    incr nodes_expanded;
-    match deadline with
-    | Some d when !nodes_expanded mod deadline_check_period = 0 ->
-        if Unix.gettimeofday () > d then raise (Stop_search Timed_out)
-    | Some _ | None -> ()
-  in
-  let core = Hashtbl.create np in
-  let used_t = Hashtbl.create np in
-  (* number of pattern edges between mapped vertices with no target image *)
-  let misses u v =
-    let count = ref 0 in
-    Vset.iter
-      (fun w ->
-        match Hashtbl.find_opt core w with
-        | Some w' -> if not (Digraph.mem_edge target v w') then incr count
-        | None -> ())
-      (Digraph.succ pattern u);
-    Vset.iter
-      (fun w ->
-        match Hashtbl.find_opt core w with
-        | Some w' -> if not (Digraph.mem_edge target w' v) then incr count
-        | None -> ())
-      (Digraph.pred pattern u);
-    !count
-  in
-  let rec extend depth missing_so_far =
-    if depth = np then begin
-      let m = Hashtbl.fold (fun u v acc -> Vmap.add u v acc) core Vmap.empty in
-      let missing =
-        Digraph.fold_edges
-          (fun u v acc ->
-            if Digraph.mem_edge target (Vmap.find u m) (Vmap.find v m) then acc
-            else (u, v) :: acc)
-          pattern []
-        |> List.sort Digraph.Edge.compare
-      in
-      match f { approx_mapping = m; missing } with
-      | `Continue -> ()
-      | `Stop -> raise (Stop_search Stopped)
-    end
-    else begin
-      check_deadline ();
-      let u = order.(depth) in
-      let budget = max_missing - missing_so_far in
-      Vset.iter
-        (fun v ->
-          if not (Hashtbl.mem used_t v) then begin
-            (* relaxed degree look-ahead: missing edges may absorb the
-               degree deficit *)
-            let deg_ok =
-              Digraph.out_degree target v >= Digraph.out_degree pattern u - budget
-              && Digraph.in_degree target v >= Digraph.in_degree pattern u - budget
-            in
-            if deg_ok then begin
-              let miss = misses u v in
-              if miss <= budget then begin
-                Hashtbl.replace core u v;
-                Hashtbl.replace used_t v true;
-                extend (depth + 1) (missing_so_far + miss);
-                Hashtbl.remove core u;
-                Hashtbl.remove used_t v
-              end
-            end
-          end)
-        (Digraph.vertices target)
-    end
-  in
-  if np = 0 then Exhausted
-  else if np > Digraph.num_vertices target then Exhausted
-  else if Digraph.num_edges pattern - max_missing > Digraph.num_edges target then Exhausted
-  else
-    match extend 0 0 with () -> Exhausted | exception Stop_search o -> o
-
-let find_first_approx ?deadline ~max_missing ~pattern ~target () =
-  let result = ref None in
-  let _ =
-    iter_approx ?deadline ~max_missing ~pattern ~target (fun a ->
-        result := Some a;
-        `Stop)
-  in
-  !result
-
-let find_all_approx ?deadline ?max_matches ~max_missing ~pattern ~target () =
-  let acc = ref [] in
-  let count = ref 0 in
-  let _ =
-    iter_approx ?deadline ~max_missing ~pattern ~target (fun a ->
-        acc := a :: !acc;
-        incr count;
-        match max_matches with
-        | Some k when !count >= k -> `Stop
-        | Some _ | None -> `Continue)
-  in
-  List.rev !acc
-
-let covered_edge_image ~pattern ~target m =
-  Digraph.fold_edges
-    (fun u v acc ->
-      let u' = Vmap.find u m and v' = Vmap.find v m in
-      if Digraph.mem_edge target u' v' then (u', v') :: acc else acc)
-    pattern []
-  |> List.sort Digraph.Edge.compare

@@ -50,6 +50,8 @@ let extended () =
 
 let minimal () = make [ Primitive.gossip 4; Primitive.broadcast 4 ]
 
+let presets = [ ("default", default); ("minimal", minimal); ("extended", extended) ]
+
 let find lib id = List.find_opt (fun e -> e.id = id) lib
 
 let find_by_name lib name = List.find_opt (fun e -> e.prim.Primitive.name = name) lib

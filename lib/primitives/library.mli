@@ -30,6 +30,10 @@ val extended : unit -> t
 val minimal : unit -> t
 (** Only MGG4 and G123 — used in ablation experiments. *)
 
+val presets : (string * (unit -> t)) list
+(** The named libraries above, by the names the command line's
+    [--library] and the service's [library] field accept. *)
+
 val find : t -> int -> entry option
 (** Look up an entry by ID. *)
 

@@ -17,11 +17,8 @@ module Request = struct
       ?constraints acg =
     { id; acg; library; budget; constraints }
 
-  let library_of_name = function
-    | "default" -> Some (L.default ())
-    | "extended" -> Some (L.extended ())
-    | "minimal" -> Some (L.minimal ())
-    | _ -> None
+  let library_of_name name =
+    Option.map (fun make -> make ()) (List.assoc_opt name L.presets)
 
   (* [%h] hex floats are exact, so two budgets/constraints collide exactly
      when they are the same values *)

@@ -42,7 +42,8 @@ module Request : sig
       for the same ACG at [domains = 8]. *)
 
   val library_of_name : string -> Noc_primitives.Library.t option
-  (** Resolves the library field; [None] for unknown names. *)
+  (** Resolves the library field by {!Noc_primitives.Library.presets};
+      [None] for unknown names. *)
 end
 
 (** The wire error taxonomy: every way a request can fail maps onto one of

@@ -33,9 +33,9 @@ let run ~rng ~flows ~cycles engine =
 
 type burst = { verdict : Engine.verdict; delivered : int; clean : bool }
 
-let burst ?max_cycles ~size_flits engine pairs =
+let burst ?(max_cycles = drain_cycles) ~size_flits engine pairs =
   List.iter (fun (src, dst) -> ignore (Engine.inject ~size_flits engine ~src ~dst)) pairs;
-  let verdict = Engine.run_until_idle ?max_cycles engine in
+  let verdict = Engine.run_until_idle ~max_cycles engine in
   let delivered = List.length (Engine.deliveries engine) in
   {
     verdict;

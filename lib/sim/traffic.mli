@@ -15,6 +15,11 @@ val flows_of_acg : rate_scale:float -> Noc_core.Acg.t -> flow list
     [rate = rate_scale * b(e) / max_b] (all zero-bandwidth edges get
     [rate_scale] — uniform load). *)
 
+val drain_cycles : int
+(** 200 000: the drain bound of {!run} and the default of {!burst}, the
+    same on every engine, so a [Limit] verdict means the same on each
+    fidelity. *)
+
 val run :
   rng:Noc_util.Prng.t ->
   flows:flow list ->
@@ -23,7 +28,7 @@ val run :
   Engine.verdict * int
 (** Drives the engine for [cycles] cycles — each cycle, one Bernoulli
     draw per flow in list order, then a step — and then lets in-flight
-    packets drain for at most 200 000 cycles.  Returns the drain's
+    packets drain for at most {!drain_cycles} cycles.  Returns the drain's
     verdict and the number of packets injected; the deliveries are the
     engine's ({!Engine.deliveries}, {!Engine.summary}). *)
 
@@ -37,8 +42,8 @@ type burst = {
 
 val burst : ?max_cycles:int -> size_flits:int -> Engine.t -> (int * int) list -> burst
 (** Injects one [size_flits] packet per [(src, dst)] pair, in list order
-    at the current cycle, then drains ([max_cycles] defaults to the
-    engine's own bound). *)
+    at the current cycle, then drains for at most [max_cycles] cycles
+    (default {!drain_cycles}). *)
 
 val offered_load : flow list -> float
 (** Sum of flow rates: expected packets injected per cycle. *)

@@ -489,40 +489,20 @@ let test_vc_of_hop () =
         (Dead.vc_of_hop arch ~src ~dst ~hop:5)
 
 (* -------------------------------------------------------------------- *)
-(* Approximate matching in the decomposition                             *)
+(* Exact matching                                                        *)
 
-let test_approx_decomposition () =
-  (* K4 with one edge knocked out: exact matching leaves 11 dedicated
-     links; 1-tolerant matching still implements it as an MGG4 (4 links) *)
+let test_near_gossip_not_matched () =
+  (* K4 with one edge knocked out: MGG4 does not embed, so the 11 flows
+     stay dedicated links *)
   let g = D.remove_edge (G.complete 4) 1 4 in
   let acg = Acg.uniform ~volume:1 ~bandwidth:0.0 g in
-  let exact_d, exact_stats = decompose acg in
-  Alcotest.(check (float 1e-9)) "exact cost = 11 dedicated links" 11.0
-    exact_stats.Bb.best_cost;
+  let d, stats = decompose acg in
+  Alcotest.(check (float 1e-9)) "cost = 11 dedicated links" 11.0 stats.Bb.best_cost;
   (* neutral primitives (broadcasts) may still structure the traffic, but
-     no gossip graph matches exactly *)
-  Alcotest.(check bool) "no exact MGG4" true
-    (not (List.mem_assoc "MGG4" (Decomp.primitive_histogram exact_d)));
-  let options = { Bb.default_options with approx_missing = 1 } in
-  let d, stats = decompose ~options acg in
-  Alcotest.(check (float 1e-9)) "approx cost = 4 links" 4.0 stats.Bb.best_cost;
-  Alcotest.(check (list (pair string int))) "MGG4 used" [ ("MGG4", 1) ]
-    (Decomp.primitive_histogram d);
-  (* still a valid decomposition: only real edges are covered *)
-  Alcotest.(check bool) "valid" true (Decomp.is_valid_for acg d);
-  (* and the synthesized architecture still routes every flow *)
-  Alcotest.(check bool) "routes valid" true (Syn.routes_valid (Syn.custom acg d))
-
-let test_approx_does_not_invent_flows () =
-  let g = D.remove_edge (G.complete 4) 1 4 in
-  let acg = Acg.uniform ~volume:1 ~bandwidth:0.0 g in
-  let options = { Bb.default_options with approx_missing = 1 } in
-  let d, _ = decompose ~options acg in
-  let m = List.hd d.Decomp.matchings in
-  Alcotest.(check int) "covers 11 real edges" 11 (List.length m.Matching.covered);
-  List.iter
-    (fun (u, v) -> Alcotest.(check bool) "acg edge" true (D.mem_edge g u v))
-    m.Matching.covered
+     no gossip graph matches *)
+  Alcotest.(check bool) "no MGG4" true
+    (not (List.mem_assoc "MGG4" (Decomp.primitive_histogram d)));
+  Alcotest.(check bool) "valid" true (Decomp.is_valid_for acg d)
 
 (* -------------------------------------------------------------------- *)
 (* Co-design (floorplan relaxation)                                      *)
@@ -899,7 +879,7 @@ let test_energy_listing_format () =
   in
   let cost = Cost.Energy { tech; fp } in
   let acg = Acg.uniform ~volume:3 ~bandwidth:0.1 (G.complete 4) in
-  let options = { Bb.default_options with cost; role_aware = true } in
+  let options = { Bb.default_options with cost } in
   let d, _ = decompose ~options acg in
   let s = Format.asprintf "%a" (Decomp.pp_with_cost cost acg) d in
   Alcotest.(check bool) "has COST header" true (String.sub s 0 5 = "COST:");
@@ -987,6 +967,34 @@ let fig2_acg () =
       [ (1, 5); (5, 1); (2, 6); (6, 2); (3, 7); (7, 3); (4, 8); (8, 4) ]
   in
   Acg.uniform ~volume:16 ~bandwidth:0.1 g
+
+(* Role-aware selection follows the cost: setting only [cost = Energy]
+   searches exactly like [energy_options] without its constraints.  The
+   listings alone cannot tell the two matchers apart (a multi-hop route
+   never beats a dedicated link under Eq. 5); the VF2 counters can. *)
+let test_energy_cost_selects_roles () =
+  let tech = Noc_energy.Technology.cmos_180nm in
+  List.iter
+    (fun (name, acg) ->
+      let fp = Noc_energy.Floorplan.of_ids (D.vertex_list (Acg.graph acg)) in
+      let cost = Cost.Energy { tech; fp } in
+      let budget = Bb.Budget.(default |> with_max_nodes 2_000) in
+      let run options =
+        let d, st =
+          Bb.decompose ~options ~budget ~observe:(Noc_obs.Obs.create ()) ~library:(lib ())
+            acg
+        in
+        (Format.asprintf "%a" (Decomp.pp_with_cost cost acg) d, st)
+      in
+      let listing, st = run { Bb.default_options with cost } in
+      let listing', st' = run { (Bb.energy_options ~tech ~fp) with constraints = None } in
+      Alcotest.(check string) (name ^ " listing") listing' listing;
+      Alcotest.(check (float 0.)) (name ^ " best_cost") st'.Bb.best_cost st.Bb.best_cost;
+      Alcotest.(check (pair int int))
+        (name ^ " vf2 probes, backtracks")
+        (st'.Bb.vf2.Bb.probes, st'.Bb.vf2.Bb.backtracks)
+        (st.Bb.vf2.Bb.probes, st.Bb.vf2.Bb.backtracks))
+    [ ("fig2", fig2_acg ()); ("fig5", fig5_acg ()); ("aes", aes_acg ()) ]
 
 let render_decomp acg d = Format.asprintf "%a" (Decomp.pp_with_cost edge_count acg) d
 
@@ -1092,9 +1100,10 @@ let suite =
       Alcotest.test_case "custom arch deadlock report" `Quick test_custom_deadlock_report;
       Alcotest.test_case "cdg edges chain" `Quick test_cdg_edges;
       Alcotest.test_case "vc assignment per hop" `Quick test_vc_of_hop;
-      Alcotest.test_case "approx matching in decomposition" `Quick test_approx_decomposition;
-      Alcotest.test_case "approx covers only real flows" `Quick
-        test_approx_does_not_invent_flows;
+      Alcotest.test_case "exact matching leaves a near-gossip graph dedicated" `Quick
+        test_near_gossip_not_matched;
+      Alcotest.test_case "energy cost alone selects roles like energy_options" `Quick
+        test_energy_cost_selects_roles;
       Alcotest.test_case "co-design link weights" `Quick test_link_volume_weights;
       Alcotest.test_case "co-design improves energy" `Quick test_co_design_improves_or_equals;
       Alcotest.test_case "co-design deterministic" `Quick test_co_design_deterministic;

@@ -397,26 +397,25 @@ module MP = Noc_graph.Multi_pattern
 let library_patterns () =
   [ (1, G.complete 4); (2, G.star 4); (3, G.loop 4); (4, G.path 3) ]
 
+let survivors t target = MP.survivors_view t Noc_graph.Compact.(view (freeze target))
+
 let test_multi_pattern_survivors () =
   let t = MP.compile (library_patterns ()) in
   (* a sparse path: K4 and star-with-degree-3 cannot embed *)
   let target = G.path 5 in
-  let surv = MP.survivors t target in
-  Alcotest.(check bool) "K4 screened out" false (List.mem 1 surv);
-  Alcotest.(check bool) "star screened out" false (List.mem 2 surv);
-  Alcotest.(check bool) "path survives" true (List.mem 4 surv);
+  let surv = survivors t target in
+  Alcotest.(check (list int)) "K4 and star screened out" [ 3; 4 ] surv;
   (* the loop passes the degree screen (necessary, not sufficient) and is
      only rejected by the full search *)
-  Alcotest.(check (list int)) "complement" [ 1; 2 ] (MP.screened_out t target);
-  Alcotest.(check bool) "loop fails the full search" true
-    (MP.find_first t ~id:3 target = None)
+  Alcotest.(check bool) "loop fails the full search" false
+    (V.exists ~pattern:(G.loop 4) ~target ())
 
 let test_multi_pattern_no_false_negatives () =
   let t = MP.compile (library_patterns ()) in
   let rng = Prng.create ~seed:61 in
   for _ = 1 to 20 do
     let target = G.erdos_renyi ~rng ~n:10 ~p:0.3 in
-    let surv = MP.survivors t target in
+    let surv = survivors t target in
     List.iter
       (fun (id, pattern) ->
         if V.exists ~pattern ~target () then
@@ -426,87 +425,38 @@ let test_multi_pattern_no_false_negatives () =
       (library_patterns ())
   done
 
-let test_multi_pattern_find () =
-  let t = MP.compile (library_patterns ()) in
-  let target = G.complete 5 in
-  (match MP.find_first t ~id:1 target with
-  | Some m ->
-      Alcotest.(check bool) "valid" true
-        (V.is_monomorphism ~pattern:(G.complete 4) ~target m)
-  | None -> Alcotest.fail "K4 embeds in K5");
-  Alcotest.(check bool) "screened find is None" true
-    (MP.find_first t ~id:1 (G.path 4) = None);
-  Alcotest.check_raises "unknown id"
-    (Invalid_argument "Multi_pattern.find_first: unknown id 99") (fun () ->
-      ignore (MP.find_first t ~id:99 target));
-  let hits = MP.matching_patterns t target in
-  (* K5 contains all four patterns *)
-  Alcotest.(check (list int)) "all match" [ 1; 2; 3; 4 ] (List.map fst hits)
-
 let test_multi_pattern_duplicate_id () =
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Multi_pattern.compile: duplicate id 1") (fun () ->
       ignore (MP.compile [ (1, G.path 2); (1, G.path 3) ]))
 
-(* -------------------------------------------------------------------- *)
-(* Approximate matching                                                  *)
-
-let test_approx_near_gossip () =
-  (* K4 minus one edge: no exact MGG4 pattern, but 1-tolerant matching *)
-  let target = D.remove_edge (G.complete 4) 1 4 in
-  Alcotest.(check bool) "no exact match" false
-    (V.exists ~pattern:(G.complete 4) ~target ());
-  (match V.find_first_approx ~max_missing:1 ~pattern:(G.complete 4) ~target () with
-  | Some a ->
-      Alcotest.(check int) "one missing edge" 1 (List.length a.V.missing);
-      (* the missing pattern edge maps onto the removed target edge *)
-      let u, v = List.hd a.V.missing in
-      let mu = D.Vmap.find u a.V.approx_mapping and mv = D.Vmap.find v a.V.approx_mapping in
-      Alcotest.(check (pair int int)) "maps to the hole" (1, 4) (mu, mv)
-  | None -> Alcotest.fail "1-tolerant match expected");
-  Alcotest.(check bool) "0-tolerant rejects" true
-    (V.find_first_approx ~max_missing:0 ~pattern:(G.complete 4) ~target () = None)
-
-let test_approx_zero_equals_exact () =
-  let rng = Prng.create ~seed:71 in
-  for _ = 1 to 10 do
-    let target = G.erdos_renyi ~rng ~n:8 ~p:0.35 in
-    let pattern = G.loop 4 in
-    let exact = List.length (V.find_all ~pattern ~target ()) in
-    let approx =
-      List.length (V.find_all_approx ~max_missing:0 ~pattern ~target ())
-    in
-    Alcotest.(check int) "same count" exact approx
-  done
-
-let test_covered_edge_image () =
-  let target = D.remove_edge (G.complete 4) 1 4 in
-  match V.find_first_approx ~max_missing:1 ~pattern:(G.complete 4) ~target () with
-  | Some a ->
-      let covered =
-        V.covered_edge_image ~pattern:(G.complete 4) ~target a.V.approx_mapping
-      in
-      Alcotest.(check int) "11 of 12 covered" 11 (List.length covered);
-      List.iter
-        (fun (u, v) -> Alcotest.(check bool) "real edge" true (D.mem_edge target u v))
-        covered
-  | None -> Alcotest.fail "match expected"
-
-let qcheck_approx_budget_respected =
-  QCheck.Test.make ~name:"approximate matches never exceed the miss budget" ~count:30
-    QCheck.(pair small_int (int_range 0 3))
-    (fun (seed, budget) ->
-      let rng = Prng.create ~seed:(seed + 3000) in
-      let target = G.erdos_renyi ~rng ~n:8 ~p:0.3 in
-      let pattern = G.complete 4 in
-      V.find_all_approx ~max_missing:budget ~max_matches:20 ~pattern ~target ()
-      |> List.for_all (fun a -> List.length a.V.missing <= budget))
+(* The screen as the search runs it: against a remainder view, after
+   edge deletions, over the whole extended library. *)
+let qcheck_screen_sound_on_remainders =
+  let module Lib = Noc_primitives.Library in
+  let repr e = e.Lib.prim.Noc_primitives.Primitive.repr in
+  QCheck.Test.make
+    ~name:"screen keeps every library pattern that embeds in a remainder" ~count:100
+    QCheck.small_int
+    (fun seed ->
+      let rng = Prng.create ~seed:(seed + 9100) in
+      let g = Noc_core.Acg.graph (Noc_oracle.Fuzz.gen_acg ~rng) in
+      let library = Lib.extended () in
+      let t = MP.compile (List.map (fun e -> (e.Lib.id, repr e)) library) in
+      let p = Prng.float rng 0.5 in
+      let doomed = List.filter (fun _ -> Prng.bernoulli rng p) (D.edges g) in
+      let view = Noc_graph.Compact.(delete_edges (view (freeze g)) doomed) in
+      let remainder = Noc_graph.Compact.to_digraph view in
+      let surv = MP.survivors_view t view in
+      List.for_all
+        (fun e -> List.mem e.Lib.id surv || not (V.exists ~pattern:(repr e) ~target:remainder ()))
+        library)
 
 (* -------------------------------------------------------------------- *)
 (* Compact CSR snapshots and the compact VF2 engine                      *)
 
 module C = Noc_graph.Compact
-module Vm = Noc_graph.Vf2_map
+module Vm = Noc_oracle.Vf2_map
 
 let random_digraph rng ~n ~p =
   (* sparse vertex ids, so dense renumbering is actually exercised *)
@@ -582,28 +532,6 @@ let qcheck_vf2_compact_equals_map =
       in
       all_c = all_m && img_c = img_m)
 
-let qcheck_vf2_approx_compact_equals_map =
-  QCheck.Test.make
-    ~name:"compact approximate VF2 matches the map-based engine" ~count:40
-    QCheck.(triple small_int (int_range 2 6) (int_range 4 12))
-    (fun (seed, np, nt) ->
-      let rng = Prng.create ~seed:(seed + 8200) in
-      let pattern = G.erdos_renyi ~rng ~n:np ~p:0.6 in
-      let target = random_digraph rng ~n:nt ~p:0.3 in
-      let norm (a : Noc_graph.Vf2.approx) =
-        (vmap_bindings a.Noc_graph.Vf2.approx_mapping, a.Noc_graph.Vf2.missing)
-      in
-      let norm_m (a : Vm.approx) = (vmap_bindings a.Vm.approx_mapping, a.Vm.missing) in
-      let ac =
-        Noc_graph.Vf2.find_all_approx ~max_matches:100 ~max_missing:1 ~pattern ~target ()
-        |> List.map norm
-      in
-      let am =
-        Vm.find_all_approx ~max_matches:100 ~max_missing:1 ~pattern ~target ()
-        |> List.map norm_m
-      in
-      ac = am)
-
 let suite =
   ( "graph",
     [
@@ -648,16 +576,11 @@ let suite =
       Alcotest.test_case "multi-pattern survivors" `Quick test_multi_pattern_survivors;
       Alcotest.test_case "multi-pattern has no false negatives" `Quick
         test_multi_pattern_no_false_negatives;
-      Alcotest.test_case "multi-pattern find" `Quick test_multi_pattern_find;
       Alcotest.test_case "multi-pattern duplicate id" `Quick test_multi_pattern_duplicate_id;
-      Alcotest.test_case "approx: near-gossip matched" `Quick test_approx_near_gossip;
-      Alcotest.test_case "approx: zero tolerance = exact" `Quick test_approx_zero_equals_exact;
-      Alcotest.test_case "approx: covered edge image" `Quick test_covered_edge_image;
-      QCheck_alcotest.to_alcotest qcheck_approx_budget_respected;
+      QCheck_alcotest.to_alcotest qcheck_screen_sound_on_remainders;
       QCheck_alcotest.to_alcotest qcheck_vf2_planted;
       QCheck_alcotest.to_alcotest qcheck_vf2_subtract;
       Alcotest.test_case "compact snapshot basics" `Quick test_compact_basics;
       QCheck_alcotest.to_alcotest qcheck_compact_matches_digraph;
       QCheck_alcotest.to_alcotest qcheck_vf2_compact_equals_map;
-      QCheck_alcotest.to_alcotest qcheck_vf2_approx_compact_equals_map;
     ] )
